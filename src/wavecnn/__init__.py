@@ -12,13 +12,13 @@ from .model import (INPUT_SAMPLES, WITH_INCEPTION, WITHOUT_INCEPTION, Model,
                     ModelConfig, build_from_specs, build_model, load_weights,
                     save_weights)
 from .optim import Adam, glorot_init, l2_penalty
-from .tensor import CHECK_DTYPE, DTYPE, ShapeError, Tensor, create
+from .tensor import CHECK_DTYPE, DTYPE, ShapeError, Tensor
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Adam", "CHECK_DTYPE", "DTYPE", "INPUT_SAMPLES", "LayerSpec", "Model",
     "ModelConfig", "ShapeError", "Tensor", "WITH_INCEPTION", "WITHOUT_INCEPTION",
-    "build_from_specs", "build_model", "create", "glorot_init", "l2_penalty",
+    "build_from_specs", "build_model", "glorot_init", "l2_penalty",
     "load_weights", "save_weights", "softmax_xent",
 ]

@@ -18,11 +18,10 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import audio, synth
 from .data import get_task, make_split, parse_manifest, write_manifest
 from .gradcheck import TOLERANCE, run_full_check
+from .layers import softmax
 from .model import VARIANTS, build_model, load_weights, save_weights
 from .train import TrainConfig, evaluate, load_clips, train
 
@@ -201,9 +200,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     model = load_weights(args.weights)
     clip = audio.load_clip(args.wav)
-    logits = model.forward(clip)
-    shifted = np.exp(logits - logits.max())
-    probs = shifted / shifted.sum()
+    probs = softmax(model.forward(clip))
     names = None
     if args.task:
         task = get_task(args.task)
@@ -333,7 +330,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as err:
+    except (ValueError, KeyError, OSError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

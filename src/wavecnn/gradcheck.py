@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import (SAME, ClassHead, Conv1D, Conv2D, Dense, Flatten,
-                     InceptionNucleus, LayerSpec, MaxPool1D, MaxPool2D, ReLU,
-                     softmax_xent)
+from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
+                     Dense, Flatten, InceptionNucleus, LayerSpec, MaxPool1D,
+                     MaxPool2D, ReLU, softmax_xent)
 from .model import build_from_specs
 from .tensor import CHECK_DTYPE
 
@@ -86,18 +86,15 @@ def _tiny_layers(rng):
         "maxpool1d": (MaxPool1D(3, 1), waveform(2, 11)),
         "maxpool2d": (MaxPool2D((2, 2), (2, 2)), rng.standard_normal((2, 6, 6)).astype(f64)),
         "relu": (ReLU(), waveform(3, 9)),
-        "reshape_channels_first": (_reshape_layer(), waveform(3, 7)),
+        "reshape_channels_first": (ChannelsFirstReshape(), waveform(3, 7)),
         "flatten": (Flatten(), rng.standard_normal((2, 3, 4)).astype(f64)),
         "dense": (Dense(10, 4, rng, f64), rng.standard_normal(10).astype(f64)),
         "class_head": (ClassHead(3), rng.standard_normal((3, 4, 5)).astype(f64)),
         "inception_nucleus": (_tiny_inception(rng, f64), waveform(2, 12)),
+        # 9 * 8 = 72 input taps at stride 1: the shift-GEMM path
+        "conv1d_shift": (Conv1D(9, 2, 8, 1, SAME, rng, f64), waveform(9, 11)),
     }
     return cases
-
-
-def _reshape_layer():
-    from .layers import ChannelsFirstReshape
-    return ChannelsFirstReshape()
 
 
 def _tiny_inception(rng, dtype):

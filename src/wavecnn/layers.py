@@ -10,9 +10,14 @@ Conventions, fixed package-wide:
 - Output extent per spatial axis: n = floor((T_padded - k) / stride) + 1.
   "same" padding pads so that n = ceil(T / stride), with the extra sample
   on the right when the total is odd.  Pooling never pads.
+- The 1-D layers are the H=1 case of the 2-D ones: :class:`Conv1D` and
+  :class:`MaxPool1D` run :class:`Conv2D` and :class:`MaxPool2D` on the
+  (C, 1, T) view of a (C, T) map, with kernel (1, k) and stride (1, s).
 - ``forward(x, cache=True)`` must precede ``backward(upstream)``; backward
   returns the gradient w.r.t. the input and leaves parameter gradients in
-  ``self.grads``.  Caches are not retained when ``cache=False`` (inference).
+  ``self.grads``.
+- ``forward(x, cache=False)`` (inference) writes no layer state, so any
+  number of threads may run it on one layer at once.
 """
 
 from __future__ import annotations
@@ -96,22 +101,12 @@ class Layer:
         return cache
 
 
-def _cols_1d(xp: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """im2col, kernel-major: cols[c*k + j, t] = xp[c, t*stride + j].
-
-    The (C*k, n) layout keeps the materializing copy sequential in the
-    source, which dominates conv runtime on long maps.
-    """
-    ch, size = xp.shape
-    n = (size - kernel) // stride + 1
-    sc, st = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp, (ch, kernel, n), (sc, st, st * stride), writeable=False)
-    return win.reshape(ch * kernel, n)
-
-
 def _cols_2d(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """im2col, kernel-major: cols[(c*kh + di)*kw + dj, i*nw + j]."""
+    """im2col, kernel-major: cols[(c*kh + di)*kw + dj, i*nw + j].
+
+    The (C*kh*kw, nh*nw) layout keeps the materializing copy sequential in
+    the source, which dominates conv runtime on long maps.
+    """
     ch, h, w = xp.shape
     nh = (h - kh) // sh + 1
     nw = (w - kw) // sw + 1
@@ -121,62 +116,16 @@ def _cols_2d(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win.reshape(ch * kh * kw, nh * nw)
 
 
-class Conv1D(Layer):
-    """Strided 1-D cross-correlation over (in_ch, T) maps.
-
-    out[c, t] = bias[c] + sum_{i,j} w[c, i, j] * x_padded[i, t*stride + j]
-    """
-
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 padding: str, rng: np.random.Generator, dtype, name: str = "conv1d"):
-        super().__init__()
-        self.name = name
-        self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride, self.padding = kernel, stride, padding
-        fan = in_ch * kernel, out_ch * kernel
-        self.params["weight"] = glorot_init((out_ch, in_ch, kernel), *fan, rng, dtype)
-        self.params["bias"] = np.zeros(out_ch, dtype=dtype)
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 2 or in_shape[0] != self.in_ch:
-            raise ShapeError(f"{self.name}: expected ({self.in_ch}, T), got {in_shape}")
-        return (self.out_ch, conv_out_len(in_shape[1], self.kernel, self.stride, self.padding))
-
-    def forward(self, x, cache=True):
-        self.out_shape(x.shape)  # validates channels and extent
-        pl = pr = 0
-        if self.padding == SAME:
-            pl, pr = same_pad_amounts(x.shape[1], self.kernel, self.stride)
-        xp = np.pad(x, ((0, 0), (pl, pr))) if pl or pr else x
-        cols = _cols_1d(xp, self.kernel, self.stride)
-        w_mat = self.params["weight"].reshape(self.out_ch, -1)
-        out = w_mat @ cols
-        out += self.params["bias"][:, None]
-        if cache:
-            self._cache = (cols, x.shape[1], xp.shape[1], pl)
-        return out
-
-    def backward(self, upstream):
-        cols, t_in, t_pad, pl = self._take_cache()
-        n = upstream.shape[1]
-        w_mat = self.params["weight"].reshape(self.out_ch, -1)
-        self.grads["weight"] = (upstream @ cols.T).reshape(self.params["weight"].shape)
-        self.grads["bias"] = upstream.sum(axis=1)
-        dcols = (w_mat.T @ upstream).reshape(self.in_ch, self.kernel, n)
-        dxp = np.zeros((self.in_ch, t_pad), dtype=upstream.dtype)
-        s = self.stride
-        for j in range(self.kernel):
-            dxp[:, j:j + s * (n - 1) + 1:s] += dcols[:, j, :]
-        return dxp[:, pl:pl + t_in] if t_pad != t_in else dxp
-
-
 class Conv2D(Layer):
     """Strided 2-D cross-correlation over (in_ch, H, W) maps.
 
-    Stride-1 convolutions (the only kind the reference architectures use in
-    2-D) run as one GEMM per kernel offset over the flattened padded image,
-    which avoids materializing im2col columns; strided convolutions fall back
-    to the im2col path.
+    Stride-1 convolutions with more than 64 input taps run as one GEMM per
+    kernel offset over the flattened padded image, which avoids
+    materializing im2col columns; the rest take the im2col path.  Every
+    call allocates its own buffers, so a cached forward stays valid however
+    many other calls run before its backward, and threads may share a layer
+    for uncached forwards.  Model replicas serve training only, whose
+    caches are per-layer state.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
@@ -190,7 +139,6 @@ class Conv2D(Layer):
         self.params["weight"] = glorot_init(
             (out_ch, in_ch) + kernel, in_ch * ksz, out_ch * ksz, rng, dtype)
         self.params["bias"] = np.zeros(out_ch, dtype=dtype)
-        self._scratch: dict[tuple, np.ndarray] = {}
 
     def out_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_ch:
@@ -199,32 +147,43 @@ class Conv2D(Layer):
         nw = conv_out_len(in_shape[2], self.kernel[1], self.stride[1], self.padding)
         return (self.out_ch, nh, nw)
 
-    def _buf(self, key, shape, dtype) -> np.ndarray:
-        buf = self._scratch.get((key, shape, np.dtype(dtype)))
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-            self._scratch[(key, shape, np.dtype(dtype))] = buf
-        return buf
-
     def _pads(self, in_shape):
         if self.padding != SAME:
             return (0, 0), (0, 0)
         return (same_pad_amounts(in_shape[1], self.kernel[0], self.stride[0]),
                 same_pad_amounts(in_shape[2], self.kernel[1], self.stride[1]))
 
+    def _weight(self) -> np.ndarray:
+        """The weight as (out, in, kh, kw), whatever rank it is stored at."""
+        return self.params["weight"].reshape((self.out_ch, self.in_ch) + self.kernel)
+
     def forward(self, x, cache=True):
         _, nh, nw = self.out_shape(x.shape)
+        return self._forward(x, nh, nw, cache)
+
+    def backward(self, upstream):
+        return self._backward(upstream)
+
+    # _forward/_backward hold the arithmetic.  Conv1D calls them on its
+    # (C, 1, T) view rather than forward/backward, so one 1-D call stays one
+    # layer call to anything that wraps those methods, such as bench/spans.py.
+
+    def _forward(self, x, nh, nw, cache):
         # shift-GEMM wants stride 1 and enough input channels per offset to
         # keep the GEMMs off the rank-deficient memory-bound regime
         if self.stride == (1, 1) and self.in_ch * self.kernel[0] * self.kernel[1] > 64:
             return self._forward_shift(x, nh, nw, cache)
         return self._forward_cols(x, nh, nw, cache)
 
-    def backward(self, upstream):
+    def _backward(self, upstream):
         mode, cache = self._take_cache()
         if mode == "shift":
-            return self._backward_shift(upstream, cache)
-        return self._backward_cols(upstream, cache)
+            dw, dx = self._backward_shift(upstream, cache)
+        else:
+            dw, dx = self._backward_cols(upstream, cache)
+        self.grads["weight"] = dw.reshape(self.params["weight"].shape)
+        self.grads["bias"] = upstream.sum(axis=(1, 2))
+        return dx
 
     # -- stride-1 path: one GEMM per kernel offset on the flat padded image --
 
@@ -234,24 +193,21 @@ class Conv2D(Layer):
         hp, wp = x.shape[1] + sum(pads[0]), x.shape[2] + sum(pads[1])
         # flat padded image with a (kw-1)-zero tail so every shifted GEMM
         # in backward stays in bounds
-        xf = self._buf("xf", (self.in_ch, hp * wp + kw - 1), x.dtype)
-        xf[:] = 0.0
+        xf = np.zeros((self.in_ch, hp * wp + kw - 1), dtype=x.dtype)
         xf[:, :hp * wp].reshape(self.in_ch, hp, wp)[:, pt:pt + x.shape[1],
                                                     pl:pl + x.shape[2]] = x
         span = (nh - 1) * wp + nw  # flat span covering all output positions
-        acc = self._buf("acc", (self.out_ch, nh * wp), x.dtype)
-        tmp = self._buf("tmp", (self.out_ch, span), x.dtype)
-        acc[:, :span] = 0.0
+        acc = np.zeros((self.out_ch, nh * wp), dtype=x.dtype)
+        tmp = np.empty((self.out_ch, span), dtype=x.dtype)
         # (kh, kw, out, in) blocks are contiguous, keeping matmul on the
         # BLAS fast path; strided operands fall off it by ~30x
-        wk = np.ascontiguousarray(self.params["weight"].transpose(2, 3, 0, 1))
+        wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
         for di in range(kh):
             for dj in range(kw):
                 off = di * wp + dj
                 np.matmul(wk[di, dj], xf[:, off:off + span], out=tmp)
                 acc[:, :span] += tmp
-        out = np.empty((self.out_ch, nh, nw), dtype=x.dtype)
-        out[:] = acc.reshape(self.out_ch, nh, wp)[:, :, :nw]
+        out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw].copy()
         out += self.params["bias"][:, None, None]
         if cache:
             self._cache = ("shift", (xf, x.shape, (hp, wp), pads, (nh, nw)))
@@ -260,38 +216,31 @@ class Conv2D(Layer):
     def _backward_shift(self, upstream, cache):
         xf, x_shape, (hp, wp), pads, (nh, nw) = cache
         (kh, kw) = self.kernel
-        grid = self._buf("ug", (self.out_ch, nh * wp), upstream.dtype)
-        grid[:] = 0.0
+        grid = np.zeros((self.out_ch, nh * wp), dtype=upstream.dtype)
         grid.reshape(self.out_ch, nh, wp)[:, :, :nw] = upstream
         span = nh * wp
-        wk = np.ascontiguousarray(self.params["weight"].transpose(2, 3, 0, 1))
-        dw = np.empty_like(self.params["weight"])
-        dw_tmp = self._buf("dw", (self.out_ch, self.in_ch), upstream.dtype)
-        dxf = self._buf("dxf", xf.shape, upstream.dtype)
-        dtmp = self._buf("dtmp", (self.in_ch, span), upstream.dtype)
-        dxf[:] = 0.0
+        wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
+        dw = np.empty((self.out_ch, self.in_ch, kh, kw), dtype=upstream.dtype)
+        dxf = np.zeros(xf.shape, dtype=upstream.dtype)
+        dtmp = np.empty((self.in_ch, span), dtype=upstream.dtype)
         for di in range(kh):
             for dj in range(kw):
                 off = di * wp + dj
-                np.matmul(grid, xf[:, off:off + span].T, out=dw_tmp)
-                dw[:, :, di, dj] = dw_tmp
+                dw[:, :, di, dj] = grid @ xf[:, off:off + span].T
                 np.matmul(wk[di, dj].T, grid, out=dtmp)
                 dxf[:, off:off + span] += dtmp
-        self.grads["weight"] = dw
-        self.grads["bias"] = upstream.sum(axis=(1, 2))
         dxp = dxf[:, :hp * wp].reshape(self.in_ch, hp, wp)
         (pt, _), (pl, _) = pads
-        return dxp[:, pt:pt + x_shape[1], pl:pl + x_shape[2]].copy()
+        return dw, dxp[:, pt:pt + x_shape[1], pl:pl + x_shape[2]].copy()
 
-    # -- generic strided path via im2col ------------------------------------
+    # -- generic path via im2col ----------------------------------------------
 
     def _forward_cols(self, x, nh, nw, cache):
         (kh, kw), (sh, sw) = self.kernel, self.stride
         pads = self._pads(x.shape)
         xp = np.pad(x, ((0, 0),) + pads) if any(p for pair in pads for p in pair) else x
         cols = _cols_2d(xp, kh, kw, sh, sw)
-        w_mat = self.params["weight"].reshape(self.out_ch, -1)
-        out = w_mat @ cols
+        out = self._weight().reshape(self.out_ch, -1) @ cols
         out += self.params["bias"][:, None]
         if cache:
             self._cache = ("cols", (cols, x.shape, xp.shape, pads, (nh, nw)))
@@ -301,9 +250,8 @@ class Conv2D(Layer):
         cols, x_shape, xp_shape, pads, (nh, nw) = cache
         (kh, kw), (sh, sw) = self.kernel, self.stride
         up_mat = upstream.reshape(self.out_ch, nh * nw)
-        w_mat = self.params["weight"].reshape(self.out_ch, -1)
-        self.grads["weight"] = (up_mat @ cols.T).reshape(self.params["weight"].shape)
-        self.grads["bias"] = upstream.sum(axis=(1, 2))
+        w_mat = self._weight().reshape(self.out_ch, -1)
+        dw = up_mat @ cols.T
         dcols = (w_mat.T @ up_mat).reshape(self.in_ch, kh, kw, nh, nw)
         dxp = np.zeros(xp_shape, dtype=upstream.dtype)
         for di in range(kh):
@@ -311,49 +259,37 @@ class Conv2D(Layer):
                 dxp[:, di:di + sh * (nh - 1) + 1:sh, dj:dj + sw * (nw - 1) + 1:sw] += \
                     dcols[:, di, dj]
         if xp_shape == x_shape:
-            return dxp
+            return dw, dxp
         (pt, _), (pleft, _) = pads
-        return dxp[:, pt:pt + x_shape[1], pleft:pleft + x_shape[2]]
+        return dw, dxp[:, pt:pt + x_shape[1], pleft:pleft + x_shape[2]]
 
 
-class MaxPool1D(Layer):
-    """Sliding max over (C, T); gradient routes to the first argmax per window."""
+class Conv1D(Conv2D):
+    """Strided 1-D cross-correlation over (in_ch, T) maps.
 
-    def __init__(self, kernel: int, stride: int, name: str = "maxpool1d"):
-        super().__init__()
-        self.name = name
-        self.kernel, self.stride = kernel, stride
+    out[c, t] = bias[c] + sum_{i,j} w[c, i, j] * x_padded[i, t*stride + j]
+
+    Runs as :class:`Conv2D` on the (in_ch, 1, T) view with kernel (1, k) and
+    stride (1, s); the weight and its gradient stay (out_ch, in_ch, k).
+    """
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
+                 padding: str, rng: np.random.Generator, dtype, name: str = "conv1d"):
+        super().__init__(in_ch, out_ch, (1, kernel), (1, stride), padding, rng, dtype, name)
+        self.params["weight"] = self.params["weight"].reshape(out_ch, in_ch, kernel)
 
     def out_shape(self, in_shape):
-        if len(in_shape) != 2:
-            raise ShapeError(f"{self.name}: expected rank 2, got {in_shape}")
-        if in_shape[1] < self.kernel:
-            raise ShapeError(f"{self.name}: extent {in_shape[1]} < kernel {self.kernel}")
-        return (in_shape[0], (in_shape[1] - self.kernel) // self.stride + 1)
+        if len(in_shape) != 2 or in_shape[0] != self.in_ch:
+            raise ShapeError(f"{self.name}: expected ({self.in_ch}, T), got {in_shape}")
+        ch, _, n = super().out_shape((in_shape[0], 1, in_shape[1]))
+        return (ch, n)
 
     def forward(self, x, cache=True):
         _, n = self.out_shape(x.shape)
-        k, s = self.kernel, self.stride
-        # one shifted strided slice per window offset; argmax over the
-        # offset axis picks the first maximum, matching the tie-break rule
-        stacked = np.stack([x[:, j:j + s * (n - 1) + 1:s] for j in range(k)])
-        am = stacked.argmax(axis=0)
-        out = np.take_along_axis(stacked, am[None], axis=0)[0]
-        if cache:
-            self._cache = (am, x.shape)
-        return out
+        return self._forward(x[:, None], 1, n, cache)[:, 0]
 
     def backward(self, upstream):
-        am, x_shape = self._take_cache()
-        ch, size = x_shape
-        n = am.shape[1]
-        dx = np.zeros(ch * size, dtype=upstream.dtype)
-        flat = (np.arange(ch)[:, None] * size + np.arange(n)[None, :] * self.stride + am)
-        if self.stride >= self.kernel:  # windows disjoint, targets unique
-            dx[flat.ravel()] = upstream.ravel()
-        else:
-            np.add.at(dx, flat.ravel(), upstream.ravel())
-        return dx.reshape(x_shape)
+        return self._backward(upstream[:, None])[:, 0]
 
 
 class MaxPool2D(Layer):
@@ -380,6 +316,12 @@ class MaxPool2D(Layer):
 
     def forward(self, x, cache=True):
         _, nh, nw = self.out_shape(x.shape)
+        return self._forward(x, nh, nw, cache)
+
+    def backward(self, upstream):
+        return self._backward(upstream)
+
+    def _forward(self, x, nh, nw, cache):
         slices = self._window_slices(x, nh, nw)
         out = slices[0].copy()
         for s in slices[1:]:
@@ -388,7 +330,7 @@ class MaxPool2D(Layer):
             self._cache = (x, out, (nh, nw))
         return out
 
-    def backward(self, upstream):
+    def _backward(self, upstream):
         x, out, (nh, nw) = self._take_cache()
         dx = np.zeros_like(x, dtype=upstream.dtype)
         # route to the first window position equal to the max (ties broken
@@ -402,6 +344,30 @@ class MaxPool2D(Layer):
             dst += upstream * mask
             taken |= mask
         return dx
+
+
+class MaxPool1D(MaxPool2D):
+    """Sliding max over (C, T); gradient routes to the first argmax per window.
+
+    Runs as :class:`MaxPool2D` on the (C, 1, T) view with kernel (1, k) and
+    stride (1, s).
+    """
+
+    def __init__(self, kernel: int, stride: int, name: str = "maxpool1d"):
+        super().__init__((1, kernel), (1, stride), name)
+
+    def out_shape(self, in_shape):
+        if len(in_shape) != 2:
+            raise ShapeError(f"{self.name}: expected rank 2, got {in_shape}")
+        ch, _, n = super().out_shape((in_shape[0], 1, in_shape[1]))
+        return (ch, n)
+
+    def forward(self, x, cache=True):
+        _, n = self.out_shape(x.shape)
+        return self._forward(x[:, None], 1, n, cache)[:, 0]
+
+    def backward(self, upstream):
+        return self._backward(upstream[:, None])[:, 0]
 
 
 class ReLU(Layer):
@@ -581,22 +547,29 @@ class ClassHead(Layer):
         return np.broadcast_to(scale.reshape((-1,) + (1,) * (len(shape) - 1)), shape).copy()
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Class probabilities of one logit vector.
+
+    Exponentials are max-subtracted so large logits cannot overflow; a
+    non-finite logit raises FloatingPointError instead of yielding NaN.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError(f"non-finite logits: {logits}")
+    exps = np.exp(logits - logits.max())
+    return exps / exps.sum()
+
+
 def softmax_xent(logits: np.ndarray, true_class: int):
     """Softmax cross-entropy for one sample.
 
     Returns (loss, probs, dlogits) where dlogits = probs - onehot(true_class).
-    Exponentials are max-subtracted so large logits cannot overflow.
     """
-    if not np.all(np.isfinite(logits)):
-        raise FloatingPointError(f"non-finite logits: {logits}")
+    probs = softmax(logits)
     k = logits.size
     if k < 2:
         raise ShapeError(f"need at least 2 classes, got {k}")
     if not 0 <= true_class < k:
         raise IndexError(f"true_class {true_class} out of range for {k} classes")
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    probs = exps / exps.sum()
     with np.errstate(divide="ignore"):  # p[true] == 0 legitimately yields inf
         loss = float(-np.log(probs[true_class]))
     dlogits = probs.copy()

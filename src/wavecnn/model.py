@@ -177,8 +177,10 @@ class Model:
         """A new Model sharing this one's parameter arrays.
 
         Replicas have independent forward caches and gradient slots, so
-        distinct samples can run through distinct replicas concurrently while
-        optimizer updates on the shared arrays stay visible to all of them.
+        distinct training samples can run through distinct replicas
+        concurrently while optimizer updates on the shared arrays stay
+        visible to all of them.  Inference needs none: uncached forwards
+        of one model may run concurrently.
         """
         dtype = self.parameter_arrays()[0].dtype
         clone = build_from_specs(self.config.layers, self.config.num_classes,

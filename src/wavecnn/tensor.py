@@ -1,16 +1,11 @@
-"""Dense n-dimensional array primitives shared by every other module.
+"""Array conventions shared by every other module.
 
 Arrays are plain numpy ndarrays kept in row-major (C) order.  Training state
 uses float32; gradient checking uses float64, because central differences at
-step 1e-5 drown in float32 rounding noise.  There is no broadcasting beyond
-scalar operations: shape mismatches raise :class:`ShapeError` instead of
-silently broadcasting, since a shape bug in this model family is almost
-always an architecture bug.
+step 1e-5 drown in float32 rounding noise.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -22,65 +17,3 @@ CHECK_DTYPE = np.float64  # finite-difference precision
 
 class ShapeError(ValueError):
     """An operation received arrays of incompatible or invalid shape."""
-
-
-def _validate_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ShapeError("shape must not be empty")
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"all extents must be >= 1, got {shape}")
-    return shape
-
-
-def create(shape: Sequence[int], fill=0.0, dtype=DTYPE) -> Tensor:
-    """Build a row-major tensor of the given shape.
-
-    ``fill`` is either a scalar (every element takes that value) or a flat
-    sequence whose length must equal the product of the extents.
-    """
-    shape = _validate_shape(shape)
-    size = int(np.prod(shape))
-    if np.isscalar(fill):
-        return np.full(shape, fill, dtype=dtype)
-    data = np.asarray(fill, dtype=dtype).ravel()
-    if data.size != size:
-        raise ShapeError(f"data length {data.size} != shape product {size}")
-    return data.reshape(shape).copy()
-
-
-def transpose_axes(t: Tensor, perm: Sequence[int]) -> Tensor:
-    """Permute axes; out.shape[i] == t.shape[perm[i]].
-
-    The result is materialized in row-major order so downstream code never
-    sees exotic strides.
-    """
-    perm = tuple(int(p) for p in perm)
-    if sorted(perm) != list(range(t.ndim)):
-        raise ShapeError(f"perm {perm} is not a permutation of 0..{t.ndim - 1}")
-    return np.ascontiguousarray(np.transpose(t, perm))
-
-
-def reduce_mean(t: Tensor, axes: Sequence[int]) -> Tensor:
-    """Arithmetic mean over the given axes; reduced extents are removed.
-
-    An empty axis list is the identity.
-    """
-    if t.size == 0:
-        raise ShapeError("cannot reduce an empty tensor")
-    axes = tuple(int(a) for a in axes)
-    if not axes:
-        return t
-    if len(set(axes)) != len(axes) or any(a < 0 or a >= t.ndim for a in axes):
-        raise ShapeError(f"invalid reduction axes {axes} for rank {t.ndim}")
-    return np.mean(t, axis=axes)
-
-
-def pad(t: Tensor, amounts: Sequence[tuple[int, int]], value=0.0) -> Tensor:
-    """Pad each axis by (before, after) samples of a constant value."""
-    amounts = [(int(b), int(a)) for b, a in amounts]
-    if len(amounts) != t.ndim:
-        raise ShapeError(f"got {len(amounts)} pad pairs for rank {t.ndim}")
-    if any(b < 0 or a < 0 for b, a in amounts):
-        raise ShapeError(f"pad amounts must be >= 0, got {amounts}")
-    return np.pad(t, amounts, mode="constant", constant_values=value)

@@ -6,8 +6,10 @@ step.  Training stops at ``max_epochs`` or once the relative loss improvement
 stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
 
 ``threads > 1`` fans per-sample forward/backward work across model replicas
-that share parameter storage; gradients are still reduced in sample order, so
-results do not depend on the worker count.
+that share parameter storage, because each layer caches its training forward
+for its backward; gradients are still reduced in sample order, so results do
+not depend on the worker count.  Evaluation needs no replicas: its threads
+share the one model, since ``forward(cache=False)`` writes no layer state.
 """
 
 from __future__ import annotations
@@ -204,23 +206,14 @@ def predict_classes(model: Model, samples: list[Sample],
     """Argmax class index per sample; never mutates the model."""
     if clips is None:
         clips = load_clips(samples)
+
+    def predict(sample):
+        return int(np.argmax(model.forward(clips[sample.clip_path])))
+
     if threads <= 1:
-        return np.array([int(np.argmax(model.forward(clips[s.clip_path])))
-                         for s in samples], dtype=np.int64)
-    idle: SimpleQueue = SimpleQueue()
-    idle.put(model)
-    for _ in range(threads - 1):
-        idle.put(model.replicate())
-
-    def leased(sample):
-        replica = idle.get()
-        try:
-            return int(np.argmax(replica.forward(clips[sample.clip_path])))
-        finally:
-            idle.put(replica)
-
+        return np.array([predict(s) for s in samples], dtype=np.int64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(leased, samples)), dtype=np.int64)
+        return np.array(list(pool.map(predict, samples)), dtype=np.int64)
 
 
 def evaluate(model: Model, test: list[Sample], task: TaskSpec,

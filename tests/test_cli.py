@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
@@ -173,6 +174,17 @@ class TestEvalPredictParams:
         probs = [float(line.split("\t")[1]) for line in lines if "\t" in line]
         assert len(probs) == 2
         assert abs(sum(probs) - 1.0) < 1e-6
+
+    def test_predict_on_nan_clip_exits_2_without_probabilities(self, run_dir, tmp_path,
+                                                               capsys):
+        clip = tmp_path / "nan.f32"
+        np.full(8000, np.nan, dtype="<f4").tofile(clip)
+        rc = main(["predict", "--weights", str(run_dir / "weights.bin"),
+                   "--wav", str(clip)])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "\t" not in captured.out
+        assert "error:" in captured.err and "non-finite" in captured.err
 
     def test_params_reports_exact_totals(self, capsys):
         assert main(["params", "--variant", "without_inception", "--classes", "10"]) == EXIT_OK

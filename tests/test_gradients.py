@@ -12,9 +12,10 @@ from wavecnn.tensor import CHECK_DTYPE
 
 def test_every_layer_kind_below_tolerance():
     results = check_all_layers(seed=0)
-    expected_kinds = {"conv1d_valid", "conv1d_same", "conv2d_valid", "conv2d_same",
-                      "maxpool1d", "maxpool2d", "relu", "reshape_channels_first",
-                      "flatten", "dense", "class_head", "inception_nucleus"}
+    expected_kinds = {"conv1d_valid", "conv1d_same", "conv1d_shift", "conv2d_valid",
+                      "conv2d_same", "maxpool1d", "maxpool2d", "relu",
+                      "reshape_channels_first", "flatten", "dense", "class_head",
+                      "inception_nucleus"}
     assert expected_kinds <= set(results)
     for kind, err in results.items():
         assert err < TOLERANCE, f"{kind}: {err:.3e}"

@@ -67,6 +67,15 @@ class TestConv1D:
         assert not layer.grads["bias"].any()
         assert not dx.any()
 
+    @pytest.mark.parametrize("stride", [1, 3])  # shift-GEMM and im2col paths
+    def test_weight_and_gradient_stay_rank_3(self, stride):
+        layer = Conv1D(9, 4, 8, stride, SAME, RNG, F64)
+        assert layer.params["weight"].shape == (4, 9, 8)
+        out = layer.forward(RNG.standard_normal((9, 12)), cache=True)
+        dx = layer.backward(np.ones_like(out))
+        assert layer.grads["weight"].shape == (4, 9, 8)
+        assert dx.shape == (9, 12)
+
 
 class TestConv2D:
     def test_identity_kernel_preserves_input(self):
@@ -104,6 +113,26 @@ class TestConv2D:
         layer.forward(RNG.standard_normal((2, 5, 6)), cache=True)
         dx = layer.backward(np.zeros((3, 5, 6)))
         assert not layer.grads["weight"].any() and not dx.any()
+
+
+@pytest.mark.parametrize("make, in_shape", [
+    # 8 * 3 * 3 and 9 * 8 input taps at stride 1: both take the shift-GEMM path
+    (lambda: Conv2D(8, 4, (3, 3), (1, 1), SAME, np.random.default_rng(3), F64), (8, 5, 6)),
+    (lambda: Conv1D(9, 2, 8, 1, SAME, np.random.default_rng(3), F64), (9, 11)),
+], ids=["conv2d", "conv1d"])
+def test_uncached_forward_between_forward_and_backward_changes_nothing(make, in_shape):
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.standard_normal(in_shape), rng.standard_normal(in_shape)
+    layer = make()
+    upstream = rng.standard_normal(layer.out_shape(in_shape))
+    layer.forward(x1, cache=True)
+    dx_ref = layer.backward(upstream)
+    dw_ref = layer.grads["weight"].copy()
+    layer.forward(x1, cache=True)
+    layer.forward(x2, cache=False)
+    dx = layer.backward(upstream)
+    npt.assert_array_equal(layer.grads["weight"], dw_ref)
+    npt.assert_array_equal(dx, dx_ref)
 
 
 class TestMaxPool:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -186,6 +189,21 @@ class TestForwardBackward:
         model.forward(x, cache=True)
         grads = model.backward(np.zeros(3, np.float32))
         assert not any(g.any() for g in grads)
+
+    def test_concurrent_uncached_forwards_on_one_model_match_serial(self):
+        model = build_model(WITHOUT_INCEPTION, 3, seed=5)
+        rng = np.random.default_rng(3)
+        clips = [rng.standard_normal(8000).astype(np.float32) for _ in range(8)]
+        serial = [model.forward(x) for x in clips]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each forward
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(model.forward, clips, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
 
     def test_replicas_share_parameters_but_not_caches(self):
         model = build_model(WITHOUT_INCEPTION, 2, seed=4)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import tiny_model, tone_corpus
 from wavecnn.data import Split, get_task
+from wavecnn.model import WITHOUT_INCEPTION, build_model
 from wavecnn.train import (TrainConfig, TrainingError, evaluate, evaluate_by_age,
                            lofo_sweep, mean_loss, train)
 
@@ -139,6 +140,13 @@ class TestEvaluate:
         before = model.state_bytes()
         evaluate(model, samples, IDS_VS_ADS, clips)
         assert model.state_bytes() == before
+
+    def test_threaded_evaluation_matches_single_thread(self, two_tone_corpus):
+        samples, clips = two_tone_corpus
+        model = build_model(WITHOUT_INCEPTION, 2, seed=3)
+        one = evaluate(model, samples, IDS_VS_ADS, clips, threads=1)
+        three = evaluate(model, samples, IDS_VS_ADS, clips, threads=3)
+        assert three.to_json() == one.to_json()
 
     def test_empty_test_set_rejected(self, two_tone_corpus):
         _, clips = two_tone_corpus
