@@ -18,6 +18,9 @@ Conventions, fixed package-wide:
   ``self.grads``.
 - ``forward(x, cache=False)`` (inference) writes no layer state, so any
   number of threads may run it on one layer at once.
+- Weighted layers draw Glorot-uniform weights from the ``rng`` they are
+  given; with ``rng=None`` they draw nothing and start at zero, for models
+  whose parameters are loaded or shared right after.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ def same_pad_amounts(size: int, kernel: int, stride: int) -> tuple[int, int]:
     out = -(-size // stride)
     total = max((out - 1) * stride + kernel - size, 0)
     return total // 2, total - total // 2
+
+
+def _init_weight(shape, fan_in: int, fan_out: int, rng: np.random.Generator | None,
+                 dtype) -> np.ndarray:
+    """Glorot-uniform draw from ``rng``, or zeros drawing nothing when it is None."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return glorot_init(shape, fan_in, fan_out, rng, dtype)
 
 
 class Layer:
@@ -129,14 +140,14 @@ class Conv2D(Layer):
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
-                 stride: tuple[int, int], padding: str, rng: np.random.Generator,
+                 stride: tuple[int, int], padding: str, rng: np.random.Generator | None,
                  dtype, name: str = "conv2d"):
         super().__init__()
         self.name = name
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.padding = kernel, stride, padding
         ksz = kernel[0] * kernel[1]
-        self.params["weight"] = glorot_init(
+        self.params["weight"] = _init_weight(
             (out_ch, in_ch) + kernel, in_ch * ksz, out_ch * ksz, rng, dtype)
         self.params["bias"] = np.zeros(out_ch, dtype=dtype)
 
@@ -274,7 +285,8 @@ class Conv1D(Conv2D):
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
-                 padding: str, rng: np.random.Generator, dtype, name: str = "conv1d"):
+                 padding: str, rng: np.random.Generator | None, dtype,
+                 name: str = "conv1d"):
         super().__init__(in_ch, out_ch, (1, kernel), (1, stride), padding, rng, dtype, name)
         self.params["weight"] = self.params["weight"].reshape(out_ch, in_ch, kernel)
 
@@ -494,11 +506,11 @@ class Dense(Layer):
     """Fully connected map from a flat vector to logits; optional head style."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, dtype, name: str = "dense"):
+                 rng: np.random.Generator | None, dtype, name: str = "dense"):
         super().__init__()
         self.name = name
         self.in_features, self.out_features = in_features, out_features
-        self.params["weight"] = glorot_init(
+        self.params["weight"] = _init_weight(
             (out_features, in_features), in_features, out_features, rng, dtype)
         self.params["bias"] = np.zeros(out_features, dtype=dtype)
 

@@ -22,6 +22,15 @@ Weights file format ("WVNC1", little-endian throughout):
 uses the dense head.  Owners are parameter-carrying layers in traversal
 order (inception branches contribute their convs in branch order); each owner
 contributes exactly one weight and one bias record.  Round-trips bit-exactly.
+A file that breaks any of these rules, or does not match the architecture
+its header names, raises :class:`WeightsFormatError` naming the file and the
+cause.
+
+Seeds: ``build_model``/``build_from_specs`` with an integer seed draw
+Glorot-uniform weights, bitwise the same for the same seed.  With
+``seed=None`` they draw nothing and every parameter starts at zero; such a
+model exists only to be filled (``load_weights``) or to share another
+model's arrays (``Model.replicate``), and records ``config.seed = None``.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ VARIANTS = (WITH_INCEPTION, WITHOUT_INCEPTION)
 INPUT_SAMPLES = 8000
 
 MAGIC = b"WVNC1"
+_HEADER = "<5sBII"
+
+
+class WeightsFormatError(ValueError):
+    """A weights file is malformed or does not fit the architecture it names."""
 
 
 def _conv1d(ch, k, s, padding=SAME):
@@ -115,7 +129,7 @@ class ModelConfig:
     variant: str
     dense_head: bool = False
     input_samples: int = INPUT_SAMPLES
-    seed: int = 0
+    seed: int | None = 0          # None: built without drawing any weights
     shapes: list[tuple[int, ...]] = field(default_factory=list)  # filled at build
 
 
@@ -180,13 +194,13 @@ class Model:
         distinct training samples can run through distinct replicas
         concurrently while optimizer updates on the shared arrays stay
         visible to all of them.  Inference needs none: uncached forwards
-        of one model may run concurrently.
+        of one model may run concurrently.  The clone draws no weights.
         """
         dtype = self.parameter_arrays()[0].dtype
         clone = build_from_specs(self.config.layers, self.config.num_classes,
                                  variant=self.config.variant,
                                  input_samples=self.config.input_samples,
-                                 seed=self.config.seed,
+                                 seed=None,
                                  dense_head=self.config.dense_head, dtype=dtype)
         for mine, theirs in zip(self.param_owners(), clone.param_owners()):
             theirs.params = mine.params
@@ -257,11 +271,15 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, idx, num_classes,
 
 def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
                      variant: str = "custom", input_samples: int = INPUT_SAMPLES,
-                     seed: int = 0, dense_head: bool = False, dtype=DTYPE) -> Model:
-    """Instantiate layers from specs and verify shape propagation end to end."""
+                     seed: int | None = 0, dense_head: bool = False,
+                     dtype=DTYPE) -> Model:
+    """Instantiate layers from specs and verify shape propagation end to end.
+
+    ``seed=None`` draws no weights: every parameter starts at zero.
+    """
     if num_classes < 2:
         raise ShapeError(f"need at least 2 classes, got {num_classes}")
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     config = ModelConfig(specs, num_classes, variant, dense_head, input_samples, seed)
     layers: list[Layer] = []
     shape = (1, input_samples)
@@ -280,7 +298,7 @@ def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
     return model
 
 
-def build_model(variant: str, num_classes: int, *, seed: int = 0,
+def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
                 dense_head: bool = False, dtype=DTYPE) -> Model:
     """Build one of the two reference architectures for a given class count."""
     if variant == WITH_INCEPTION:
@@ -303,7 +321,7 @@ def save_weights(model: Model, path) -> None:
     variant_tag = VARIANTS.index(model.config.variant) + (2 if model.config.dense_head else 0)
     owners = model.param_owners()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<5sBII", MAGIC, variant_tag,
+        fh.write(struct.pack(_HEADER, MAGIC, variant_tag,
                              model.config.num_classes, len(owners)))
         for idx, owner in enumerate(owners):
             for role in ("weight", "bias"):
@@ -314,35 +332,66 @@ def save_weights(model: Model, path) -> None:
 
 
 def load_weights(path, dtype=DTYPE) -> Model:
+    """Build the architecture the file names, drawing no weights, and fill
+    every parameter from its records.
+
+    Raises WeightsFormatError, naming the file and the cause, for anything
+    but a complete well-formed file for that architecture.  The file holds
+    exactly two records per owner, so a slot written twice leaves another
+    never written; the duplicate is what gets reported.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+
+    def bad(cause: str) -> WeightsFormatError:
+        return WeightsFormatError(f"{path}: {cause}")
+
+    def unpack(fmt: str, pos: int, what: str):
+        end = pos + struct.calcsize(fmt)
+        if end > len(blob):
+            raise bad(f"{what} at byte {pos} runs past the end of the "
+                      f"{len(blob)}-byte file")
+        return struct.unpack_from(fmt, blob, pos), end
+
     if blob[:5] != MAGIC:
-        raise ValueError(f"not a {MAGIC.decode()} weights file: magic {blob[:5]!r}")
-    variant_tag, num_classes, owner_count = struct.unpack_from("<BII", blob, 5)
+        raise bad(f"not a {MAGIC.decode()} weights file: magic {blob[:5]!r}")
+    (_, variant_tag, num_classes, owner_count), pos = unpack(_HEADER, 0, "header")
     if variant_tag > 3:
-        raise ValueError(f"unknown variant tag {variant_tag}")
-    dense_head = variant_tag >= 2
-    variant = VARIANTS[variant_tag % 2]
-    model = build_model(variant, num_classes, dense_head=dense_head, dtype=dtype)
+        raise bad(f"unknown variant tag {variant_tag}")
+    # the last layer's bias alone holds num_classes values, so the file size
+    # bounds the class count before anything is allocated
+    if not 2 <= num_classes <= len(blob) // 4:
+        raise bad(f"class count {num_classes} is below 2 or more than "
+                  f"the file's values can hold")
+    model = build_model(VARIANTS[variant_tag % 2], num_classes, seed=None,
+                        dense_head=variant_tag >= 2, dtype=dtype)
     owners = model.param_owners()
     if len(owners) != owner_count:
-        raise ValueError(f"file declares {owner_count} parameter owners, "
-                         f"architecture has {len(owners)}")
-    pos = 14
+        raise bad(f"file declares {owner_count} parameter owners, "
+                  f"architecture has {len(owners)}")
+    written = set()
     for _ in range(2 * owner_count):
-        idx, role_tag, rank = struct.unpack_from("<IBB", blob, pos)
-        pos += 6
-        shape = struct.unpack_from(f"<{rank}I", blob, pos)
-        pos += 4 * rank
-        count = int(np.prod(shape))
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-        pos += 4 * count
-        role = _ROLE_NAMES[role_tag]
+        (idx, role_tag, rank), pos = unpack("<IBB", pos, "record header")
+        shape, pos = unpack(f"<{rank}I", pos, "record extents")
+        if idx >= owner_count:
+            raise bad(f"owner index {idx} out of range for {owner_count} owners")
+        role = _ROLE_NAMES.get(role_tag)
+        if role is None:
+            raise bad(f"owner {idx}: unknown role {role_tag}")
+        if (idx, role) in written:
+            raise bad(f"owner {idx} {role} written twice")
+        written.add((idx, role))
         target = owners[idx].params[role]
-        if tuple(shape) != target.shape:
-            raise ValueError(f"owner {idx} {role}: file shape {tuple(shape)} != "
-                             f"model shape {target.shape}")
-        target[...] = values.reshape(shape).astype(dtype)
+        if shape != target.shape:
+            raise bad(f"owner {idx} {role}: file shape {shape} != "
+                      f"model shape {target.shape}")
+        end = pos + 4 * target.size
+        if end > len(blob):
+            raise bad(f"owner {idx} {role}: values at byte {pos} run past the "
+                      f"end of the {len(blob)}-byte file")
+        target[...] = np.frombuffer(blob, dtype="<f4", count=target.size,
+                                    offset=pos).reshape(shape)
+        pos = end
     if pos != len(blob):
-        raise ValueError(f"{len(blob) - pos} trailing bytes after parameter records")
+        raise bad(f"{len(blob) - pos} trailing bytes after parameter records")
     return model

@@ -203,12 +203,18 @@ def mean_loss(model: Model, samples: list[Sample], task: TaskSpec, lam: float,
 def predict_classes(model: Model, samples: list[Sample],
                     clips: dict[str, np.ndarray] | None = None,
                     threads: int = 1) -> np.ndarray:
-    """Argmax class index per sample; never mutates the model."""
+    """Argmax class index per sample; never mutates the model.
+
+    Raises FloatingPointError naming the clip when its logits are not finite.
+    """
     if clips is None:
         clips = load_clips(samples)
 
     def predict(sample):
-        return int(np.argmax(model.forward(clips[sample.clip_path])))
+        logits = model.forward(clips[sample.clip_path])
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
+        return int(np.argmax(logits))
 
     if threads <= 1:
         return np.array([predict(s) for s in samples], dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -185,6 +186,39 @@ class TestEvalPredictParams:
         captured = capsys.readouterr()
         assert "\t" not in captured.out
         assert "error:" in captured.err and "non-finite" in captured.err
+
+    def test_eval_on_nan_clip_exits_2_naming_it(self, run_dir, tmp_path, capsys):
+        clip = tmp_path / "nan.f32"
+        np.full(8000, np.nan, dtype="<f4").tofile(clip)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [(clip.name, "canonical", 6, "F00")])
+        rc = main(["eval", "--weights", str(run_dir / "weights.bin"),
+                   "--manifest", str(manifest), "--task", "vocal_vs_nonvocal"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {clip}: non-finite logits" in captured.err
+
+    @pytest.mark.parametrize("offset,patch,cause", [
+        (16, None, "record header at byte 14 runs past the end"),
+        (14, struct.pack("<I", 999), "owner index 999 out of range"),
+        (18, b"\x07", "unknown role 7"),
+        (1322, b"\x00", "owner 0 weight written twice"),  # owner 1's weight record
+    ], ids=["cut to 16 bytes", "owner index 999", "role 7", "duplicate owner"])
+    def test_malformed_weights_exit_2_naming_file(self, run_dir, tmp_path, capsys,
+                                                  offset, patch, cause):
+        blob = bytearray((run_dir / "weights.bin").read_bytes())
+        if patch is None:
+            del blob[offset:]
+        else:
+            blob[offset:offset + len(patch)] = patch
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        rc = main(["predict", "--weights", str(bad), "--wav", str(tmp_path / "x.wav")])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and cause in err
+        assert "Traceback" not in err
 
     def test_params_reports_exact_totals(self, capsys):
         assert main(["params", "--variant", "without_inception", "--classes", "10"]) == EXIT_OK

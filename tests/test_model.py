@@ -1,14 +1,19 @@
+import hashlib
+import struct
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from wavecnn import layers
 from wavecnn.data import builtin_tasks
 from wavecnn.layers import SAME, VALID, LayerSpec, softmax_xent
-from wavecnn.model import (WITH_INCEPTION, WITHOUT_INCEPTION, build_from_specs,
-                           build_model, load_weights, save_weights)
+from wavecnn.model import (WITH_INCEPTION, WITHOUT_INCEPTION, WeightsFormatError,
+                           build_from_specs, build_model, load_weights, save_weights)
 from wavecnn.tensor import ShapeError
 
 # Architecture tables as plain data for the independent symbolic parameter
@@ -205,6 +210,30 @@ class TestForwardBackward:
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
 
+    # sha256 of build_model(variant, 3, seed=0, dense_head=...).state_bytes(),
+    # frozen from the implementation that always drew every weight
+    @pytest.mark.parametrize("variant,dense_head,digest", [
+        (WITH_INCEPTION, False,
+         "0556ec3c83756cb11587c3ea9e1320df4da99587f5deb250e7072af1b4abddd9"),
+        (WITH_INCEPTION, True,
+         "a4886e9c26c242b8a1aa3d80a6bda2ac9a8321b057ea0a2a4b6383bd2653ec71"),
+        (WITHOUT_INCEPTION, False,
+         "6f6e9e4e1f9eaad7f183a5e598c20fad8ee4c4d7ef7442abc0729bf1893ace16"),
+        (WITHOUT_INCEPTION, True,
+         "b14bead130f0e19bba85134432ca69dfcf98e62b670953e68c2009248d4d5245"),
+    ])
+    def test_seeded_build_draws_pinned_weights(self, variant, dense_head, digest):
+        model = build_model(variant, 3, seed=0, dense_head=dense_head)
+        assert hashlib.sha256(model.state_bytes()).hexdigest() == digest
+
+    def test_unseeded_build_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("glorot_init called")
+        monkeypatch.setattr(layers, "glorot_init", no_draw)
+        model = build_model(WITH_INCEPTION, 3, seed=None, dense_head=True)
+        assert model.config.seed is None
+        assert not any(p.any() for p in model.parameter_arrays())
+
     def test_replicas_share_parameters_but_not_caches(self):
         model = build_model(WITHOUT_INCEPTION, 2, seed=4)
         clone = model.replicate()
@@ -254,3 +283,119 @@ class TestSerialization:
         clipped.write_bytes(path.read_bytes()[:200])
         with pytest.raises(Exception):
             load_weights(clipped)
+
+    def test_load_and_replicate_draw_no_weights(self, tmp_path, monkeypatch):
+        model = build_model(WITHOUT_INCEPTION, 3, seed=6)
+        path = tmp_path / "weights.bin"
+        save_weights(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("glorot_init called")
+        monkeypatch.setattr(layers, "glorot_init", no_draw)
+        loaded = load_weights(path)
+        assert loaded.config.seed is None
+        assert loaded.state_bytes() == model.state_bytes()
+        clone = loaded.replicate()
+        assert clone.parameter_arrays()[0] is loaded.parameter_arrays()[0]
+
+
+def record_offsets(blob: bytes) -> list[int]:
+    """Byte offset of every record in a well-formed WVNC1 file."""
+    offsets, pos = [], 14
+    while pos < len(blob):
+        offsets.append(pos)
+        rank = blob[pos + 5]
+        shape = struct.unpack_from(f"<{rank}I", blob, pos + 6)
+        pos += 6 + 4 * rank + 4 * int(np.prod(shape))
+    return offsets
+
+
+def poke(blob: bytes, pos: int, fmt: str, value) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, pos, value)
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def weights_blob(tmp_path_factory):
+    """A without_inception 2-class file (conv1d weight (32, 1, 9) first)."""
+    model = build_model(WITHOUT_INCEPTION, 2, seed=8)
+    path = tmp_path_factory.mktemp("weights") / "w.bin"
+    save_weights(model, path)
+    return path.read_bytes(), model.state_bytes()
+
+
+# case -> (make the file from a valid blob and its record offsets, cause)
+MALFORMED = {
+    "short header": (lambda b, r: b[:10], "header at byte 0 runs past the end"),
+    "cut to 16 bytes": (lambda b, r: b[:16], "record header at byte 14 runs past the end"),
+    "values past end": (lambda b, r: b[:-4], "values at byte .* run past the end"),
+    "extents past end": (lambda b, r: b[:r[1] + 8], "record extents at byte .* past the end"),
+    "unknown variant": (lambda b, r: poke(b, 5, "<B", 9), "unknown variant tag 9"),
+    "one class": (lambda b, r: poke(b, 6, "<I", 1), "class count 1"),
+    "huge class count": (lambda b, r: poke(b, 6, "<I", 2**32 - 1), "class count 4294967295"),
+    "owner count": (lambda b, r: poke(b, 10, "<I", 3), "declares 3 parameter owners"),
+    "owner index 999": (lambda b, r: poke(b, r[0], "<I", 999), "owner index 999 out of range"),
+    "role 7": (lambda b, r: poke(b, r[0] + 4, "<B", 7), "owner 0: unknown role 7"),
+    "shape mismatch": (lambda b, r: poke(b, r[0] + 6, "<I", 33),
+                       r"file shape \(33, 1, 9\) != model shape \(32, 1, 9\)"),
+    "duplicate owner": (lambda b, r: poke(b, r[2], "<I", 0), "owner 0 weight written twice"),
+    # owners 0 and 1 both have a (32,) bias, so only the slot check catches this
+    "duplicate bias": (lambda b, r: poke(b, r[3], "<I", 0), "owner 0 bias written twice"),
+    "trailing bytes": (lambda b, r: b + b"\0\0", "2 trailing bytes"),
+}
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_error_names_file_and_cause(self, weights_blob, tmp_path, case):
+        make, cause = MALFORMED[case]
+        blob = weights_blob[0]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(make(blob, record_offsets(blob)))
+        with pytest.raises(WeightsFormatError, match=cause) as info:
+            load_weights(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_byte_mutations_fail_typed_or_round_trip(self, weights_blob, tmp_path, data):
+        """A changed header byte fails typed or changes nothing; a changed
+        value byte loads and saves back as it is."""
+        blob, state = weights_blob
+        records = record_offsets(blob)
+        structural = set(range(14)) | {pos for rec in records
+                                       for pos in range(rec, rec + 6 + 4 * blob[rec + 5])}
+        # the header, a record's owner index, role and rank, or any byte;
+        # small values are valid indices, roles and ranks, which make
+        # duplicate slots and shifted records likely
+        pos = data.draw(st.one_of(
+            st.integers(0, 13),
+            st.builds(int.__add__, st.sampled_from(records), st.integers(0, 5)),
+            st.integers(0, len(blob) - 1)), label="pos")
+        value = data.draw(st.one_of(st.integers(0, 9), st.integers(0, 255)), label="value")
+        mutated = bytearray(blob)
+        mutated[pos] = value
+        path = tmp_path / "mutated.bin"
+        path.write_bytes(mutated)
+        try:
+            loaded = load_weights(path)
+        except WeightsFormatError:
+            return
+        if pos in structural:
+            assert loaded.state_bytes() == state
+        save_weights(loaded, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == mutated
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncations_fail_typed(self, weights_blob, tmp_path, data):
+        blob, _ = weights_blob
+        cut = data.draw(st.one_of(st.integers(0, 400),
+                                  st.integers(0, len(blob) - 1)), label="cut")
+        path = tmp_path / "cut.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(WeightsFormatError):
+            load_weights(path)

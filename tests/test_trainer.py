@@ -148,6 +148,14 @@ class TestEvaluate:
         three = evaluate(model, samples, IDS_VS_ADS, clips, threads=3)
         assert three.to_json() == one.to_json()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_logits_raise_naming_the_clip(self, two_tone_corpus, threads):
+        samples, clips = two_tone_corpus
+        clips = dict(clips)
+        clips[samples[3].clip_path] = np.full(8000, np.nan, dtype=np.float32)
+        with pytest.raises(FloatingPointError, match=f"{samples[3].clip_path}: non-finite"):
+            evaluate(tiny_model(2), samples, IDS_VS_ADS, clips, threads=threads)
+
     def test_empty_test_set_rejected(self, two_tone_corpus):
         _, clips = two_tone_corpus
         with pytest.raises(ValueError, match="empty"):
