@@ -3,6 +3,7 @@
 Supported input: RIFF/WAVE containers with PCM 8/16/24-bit or IEEE float32
 payloads, mono or stereo.  Everything downstream of :func:`load_wav` works on
 float arrays scaled to [-1, 1]; stereo is averaged to mono at load time.
+A float payload or cache file holding NaN or inf raises WavFormatError.
 
 The clip cache stores one file per standardized clip: 8000 raw little-endian
 float32 values, named ``<sha1 of "source@offset">.f32``.
@@ -90,6 +91,8 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
         samples = value.astype(np.float64) / float(1 << 23)
     elif audio_format == _IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise WavFormatError(f"{path}: non-finite samples")
     else:
         raise WavFormatError(f"{path}: unsupported format code {audio_format} "
                              f"at {bits} bits")
@@ -202,7 +205,10 @@ def read_clip_cache(path) -> np.ndarray:
     if len(blob) != 4 * CLIP_SAMPLES:
         raise WavFormatError(f"{path}: cache file holds {len(blob)} bytes, "
                              f"expected {4 * CLIP_SAMPLES}")
-    return np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    samples = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    if not np.isfinite(samples).all():
+        raise WavFormatError(f"{path}: non-finite samples")
+    return samples
 
 
 def load_clip(path) -> np.ndarray:

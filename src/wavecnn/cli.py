@@ -215,7 +215,7 @@ def cmd_predict(args) -> int:
 
 def cmd_params(args) -> int:
     variant = args.variant or "with_inception"
-    model = build_model(variant, args.classes, dense_head=args.dense_head)
+    model = build_model(variant, args.classes, seed=None, dense_head=args.dense_head)
     print(f"variant: {variant}  classes: {args.classes}  "
           f"head: {'dense' if args.dense_head else 'conv+gap'}")
     for owner in model.param_owners():

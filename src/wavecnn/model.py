@@ -176,10 +176,6 @@ class Model:
     def parameter_names(self) -> list[str]:
         return [f"{owner.name}.{role}" for owner, role in self._param_slots()]
 
-    def weight_arrays(self) -> list[np.ndarray]:
-        """Weights only (bias tensors excluded), for the L2 penalty."""
-        return [owner.params["weight"] for owner in self.param_owners()]
-
     def param_count(self) -> int:
         return int(sum(p.size for p in self.parameter_arrays()))
 
@@ -242,8 +238,8 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, idx, num_classes,
     if kind == "maxpool2d":
         return MaxPool2D(spec.kernel, spec.stride, name=tag)
     if kind == "relu":
-        # in-place only when fed by a layer that emits a fresh unaliased
-        # buffer; pooling layers cache references to their outputs
+        # in-place only after a convolution or dense layer, whose output is
+        # a fresh buffer that nothing else references
         return ReLU(inplace=prev_kind in ("conv1d", "conv2d", "dense"))
     if kind == "reshape_channels_first":
         return ChannelsFirstReshape()

@@ -186,20 +186,6 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     return history, stop_reason
 
 
-def mean_loss(model: Model, samples: list[Sample], task: TaskSpec, lam: float,
-              clips: dict[str, np.ndarray] | None = None) -> float:
-    """Mean data loss plus the L2 term, without touching any parameter."""
-    if clips is None:
-        clips = load_clips(samples)
-    total = 0.0
-    for s in samples:
-        logits = model.forward(clips[s.clip_path])
-        loss, _, _ = softmax_xent(logits, task.class_of(s))
-        total += loss
-    l2_loss, _ = l2_penalty(model.weight_arrays(), lam)
-    return total / len(samples) + l2_loss
-
-
 def predict_classes(model: Model, samples: list[Sample],
                     clips: dict[str, np.ndarray] | None = None,
                     threads: int = 1) -> np.ndarray:
@@ -248,12 +234,6 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
     return EvalReport(task.name, model.config.variant, overall,
                       task.chance_percent, len(test), task.class_names,
                       per_class, confusion.tolist(), by_age)
-
-
-def evaluate_by_age(model: Model, test: list[Sample], task: TaskSpec,
-                    clips: dict[str, np.ndarray] | None = None) -> dict[int, dict]:
-    """Age -> {"n", "accuracy"} over the test set; empty buckets omitted."""
-    return evaluate(model, test, task, clips).by_age
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared helpers: a cheap shallow architecture and in-memory tone corpora, so
 trainer tests exercise the real loop without paying full-architecture compute."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,15 @@ from wavecnn.audio import CLIP_SAMPLES, SAMPLE_RATE, standardize_samples
 from wavecnn.data import AGES_MONTHS, Sample
 from wavecnn.layers import LayerSpec
 from wavecnn.model import build_from_specs
+
+
+def float32_wav_bytes(values, rate=8000):
+    """A mono IEEE-float WAV holding ``values``, NaN and inf included."""
+    payload = np.asarray(values, dtype="<f4").tobytes()
+    return struct.pack("<4sI4s4sIHHIIHH4sI",
+                       b"RIFF", 36 + len(payload), b"WAVE",
+                       b"fmt ", 16, 3, 1, rate, rate * 4, 4, 32,
+                       b"data", len(payload)) + payload
 
 
 def tiny_specs(num_classes):

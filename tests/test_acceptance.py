@@ -173,6 +173,7 @@ def test_task_taxonomy():
            "50.00/50.00/50.00/50.00/33.33/25.00/20.00", ok, ", ".join(chances))
 
 
+@pytest.mark.slow
 def test_synthetic_end_to_end(tmp_path):
     """600-clip 3-class corpus: >= 95% held-out accuracy within 50 epochs,
     under 10 minutes; a constant predictor stays at the 33.33% chance line."""

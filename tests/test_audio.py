@@ -1,9 +1,11 @@
+import re
 import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import float32_wav_bytes
 from wavecnn.audio import (CLIP_SAMPLES, SAMPLE_RATE, AudioClip, WavFormatError,
                            clip_cache_name, extract_clips, load_clip, load_wav,
                            read_clip_cache, resample_to_8k, standardize,
@@ -64,13 +66,17 @@ class TestLoadWav:
         samples, _, _ = load_wav(tmp_path / "u8.wav")
         npt.assert_allclose(samples, [0.0, 127 / 128, -1.0])
 
-        f32 = np.array([0.25, -0.5], dtype="<f4").tobytes()
-        blobf = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 8, b"WAVE",
-                            b"fmt ", 16, 3, 1, 8000, 32000, 4, 32,
-                            b"data", 8) + f32
-        (tmp_path / "f32.wav").write_bytes(blobf)
+        (tmp_path / "f32.wav").write_bytes(float32_wav_bytes([0.25, -0.5]))
         samples, _, _ = load_wav(tmp_path / "f32.wav")
         npt.assert_allclose(samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(float32_wav_bytes([0.25, bad, -0.5]))
+        cause = f"^{re.escape(str(path))}: non-finite samples$"
+        with pytest.raises(WavFormatError, match=cause):
+            load_wav(path)
 
     def test_24bit_payload(self, tmp_path):
         value = -(1 << 22)  # -0.5 at 24-bit full scale
@@ -187,6 +193,17 @@ class TestClipCache:
         bad.write_bytes(b"\x00" * 100)
         with pytest.raises(WavFormatError, match="100 bytes"):
             read_clip_cache(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cache_file_rejected(self, tmp_path, bad):
+        samples = np.zeros(CLIP_SAMPLES, dtype="<f4")
+        samples[4321] = bad
+        path = tmp_path / "bad.f32"
+        path.write_bytes(samples.tobytes())
+        cause = f"^{re.escape(str(path))}: non-finite samples$"
+        for reader in (read_clip_cache, load_clip):
+            with pytest.raises(WavFormatError, match=cause):
+                reader(path)
 
     def test_load_clip_from_wav_is_standardized(self, tmp_path):
         t = np.arange(SAMPLE_RATE) / SAMPLE_RATE

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from conftest import float32_wav_bytes
+from wavecnn import layers
 from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.synth import SynthSpec, generate
@@ -57,6 +60,22 @@ class TestPrepare:
         assert rc == EXIT_PARTIAL
         assert len(list(out.glob("*.f32"))) == 19
         assert "copy00.wav" in capsys.readouterr().err
+
+    def test_non_finite_float_wav_reports_partial_failure(self, corpus, tmp_path, capsys):
+        root, manifest = corpus
+        samples = parse_manifest(manifest)
+        bad = tmp_path / "nan.wav"
+        bad.write_bytes(float32_wav_bytes(np.full(8000, np.nan)))
+        rows = [(s.clip_path, s.raw_label, s.age_months, s.family_id) for s in samples]
+        rows.append((bad.name, samples[0].raw_label, samples[0].age_months,
+                     samples[0].family_id))
+        write_manifest(tmp_path / "manifest.csv", rows)
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        assert len(list(out.glob("*.f32"))) == 20
+        assert f"error: {bad}: non-finite samples" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, corpus, cache, tmp_path):
         _, manifest = corpus
@@ -197,7 +216,7 @@ class TestEvalPredictParams:
         assert rc == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: {clip}: non-finite logits" in captured.err
+        assert f"error: {clip}: non-finite samples" in captured.err
 
     @pytest.mark.parametrize("offset,patch,cause", [
         (16, None, "record header at byte 14 runs past the end"),
@@ -227,6 +246,21 @@ class TestEvalPredictParams:
         assert main(["params", "--variant", "with_inception", "--classes", "10"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "total parameters: 299690" in out
+
+    # sha256 of `params --variant V` stdout from the build that drew weights
+    @pytest.mark.parametrize("variant,digest", [
+        ("with_inception",
+         "6d0bc311b0fba7f7ac10bc7345413d110a6e20fbd9a8e68e7d29027f9297c067"),
+        ("without_inception",
+         "ec99e4b353b9e6f57512249d8081436803f0b71e0fa338fc90aa44d4aa28a3f0"),
+    ], ids=["with_inception", "without_inception"])
+    def test_params_draws_no_weights(self, monkeypatch, capsys, variant, digest):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("glorot_init called")
+        monkeypatch.setattr(layers, "glorot_init", no_draw)
+        assert main(["params", "--variant", variant]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGradcheckAndSynth:

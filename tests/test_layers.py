@@ -167,6 +167,21 @@ class TestMaxPool:
         pool.forward(np.array([[7., 7, 7]]), cache=True)
         npt.assert_allclose(pool.backward(np.array([[1.]])), [[1, 0, 0]])
 
+    # a NaN in a window makes its max NaN, which equals no position, so the
+    # window routes no gradient
+    def test_nan_window_2d_routes_nothing(self):
+        pool = MaxPool2D((2, 2), (2, 2))
+        out = pool.forward(np.array([[[np.nan, 1.], [2., 3.]]]), cache=True)
+        assert np.isnan(out).all()
+        dx = pool.backward(np.array([[[1.0]]]))
+        npt.assert_array_equal(dx, [[[0, 0], [0, 0]]])
+
+    def test_nan_windows_1d_route_only_finite_ones(self):
+        pool = MaxPool1D(3, 1)
+        pool.forward(np.array([[1., np.nan, 2., 5., 5.]]), cache=True)
+        dx = pool.backward(np.ones((1, 3)))
+        npt.assert_array_equal(dx, [[0, 0, 0, 1, 0]])
+
 
 class TestReLU:
     def test_clamps_negatives(self):

@@ -1,5 +1,8 @@
 import hashlib
+import json
+import os
 import struct
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wavecnn
 from wavecnn import layers
 from wavecnn.data import builtin_tasks
-from wavecnn.layers import SAME, VALID, LayerSpec, softmax_xent
+from wavecnn.layers import SAME, VALID, LayerSpec, MaxPool2D, ReLU, softmax_xent
 from wavecnn.model import (WITH_INCEPTION, WITHOUT_INCEPTION, WeightsFormatError,
                            build_from_specs, build_model, load_weights, save_weights)
 from wavecnn.tensor import ShapeError
@@ -234,12 +238,126 @@ class TestForwardBackward:
         assert model.config.seed is None
         assert not any(p.any() for p in model.parameter_arrays())
 
+    def test_cached_forward_keeps_masks_and_indices_not_activations(self):
+        model = build_model(WITH_INCEPTION, 3, seed=0)
+        every = list(walk_layers(model.layers))
+        seen = {}
+        for lyr in every:
+            lyr.forward = recording_forward(lyr, seen)
+        model.forward(np.random.default_rng(0).standard_normal(8000).astype(np.float32),
+                      cache=True)
+        for lyr in every:
+            x, out = seen[id(lyr)]
+            if isinstance(lyr, ReLU):
+                assert lyr._cache.dtype == bool and lyr._cache.shape == out.shape
+            elif isinstance(lyr, MaxPool2D):
+                _, first, _ = lyr._cache
+                assert first.dtype == np.uint8
+                # MaxPool1D indexes its (C, 1, n) view of the (C, n) output
+                assert first.shape in (out.shape, out.shape[:1] + (1,) + out.shape[1:])
+                for a in cached_arrays(lyr._cache):
+                    assert not np.may_share_memory(a, x)
+                    assert not np.may_share_memory(a, out)
+        # each buffer a cache keeps alive, counted once; 49.4 MiB when ReLU
+        # and the pools cached their float activations
+        held = {}
+        for lyr in every:
+            for a in cached_arrays(lyr._cache):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                held[id(a)] = a.nbytes
+        assert sum(held.values()) <= 26 * 2**20
+
+    @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
+    @pytest.mark.parametrize("head", ["gap", "dense"])
+    def test_training_steps_match_pinned_digest(self, training_digests, variant, head):
+        assert training_digests[f"{variant}/{head}"] == TRAINING_DIGESTS[variant, head]
+
     def test_replicas_share_parameters_but_not_caches(self):
         model = build_model(WITHOUT_INCEPTION, 2, seed=4)
         clone = model.replicate()
         assert model.parameter_arrays()[0] is clone.parameter_arrays()[0]
         x = np.random.default_rng(2).standard_normal(8000).astype(np.float32)
         npt.assert_array_equal(model.forward(x), clone.forward(x))
+
+
+def walk_layers(layer_list):
+    for lyr in layer_list:
+        yield lyr
+        for branch in getattr(lyr, "branches", ()):
+            yield from walk_layers(branch)
+
+
+def cached_arrays(cache):
+    if isinstance(cache, np.ndarray):
+        yield cache
+    elif isinstance(cache, (tuple, list)):
+        for item in cache:
+            yield from cached_arrays(item)
+
+
+def recording_forward(lyr, seen):
+    forward = lyr.forward
+
+    def wrapped(x, cache=True):
+        out = forward(x, cache=cache)
+        seen[id(lyr)] = (x, out)
+        return out
+    return wrapped
+
+
+# SHA-256 over the logits and gradients of three Adam steps on random clips,
+# then the parameters after them; frozen from the implementation whose ReLU
+# and pooling layers cached their float activations.  BLAS runs on one
+# thread because its summation order, and so the bits, vary with the count.
+TRAINING_DIGESTS = {
+    (WITH_INCEPTION, "gap"):
+        "1aa1822354737c89fccacf55cb90f720bdaa4292929889cd865918ded31b79ef",
+    (WITH_INCEPTION, "dense"):
+        "675d957981f9b0fdc69f0548ed2986ef391b8fde31a2928cee1db5c309f09e35",
+    (WITHOUT_INCEPTION, "gap"):
+        "8a03518fc8286c0ac53a25ce2c3a49a2b0c7f68ede16b2ca786e89759243322a",
+    (WITHOUT_INCEPTION, "dense"):
+        "f7373c7a44b11933527ec4c2905a472978bce32333bd9e721b4a33fccf40b602",
+}
+
+TRAINING_DIGEST_SCRIPT = """
+import hashlib, json
+import numpy as np
+from wavecnn.layers import softmax_xent
+from wavecnn.model import build_model
+from wavecnn.optim import Adam
+
+digests = {}
+for variant in ("with_inception", "without_inception"):
+    for head in ("gap", "dense"):
+        model = build_model(variant, 3, seed=0, dense_head=head == "dense")
+        optimizer = Adam(model.parameter_arrays(), lr=1e-3)
+        rng = np.random.default_rng(11)
+        h = hashlib.sha256()
+        for step in range(3):
+            x = rng.standard_normal(8000).astype(np.float32)
+            logits = model.forward(x, cache=True)
+            _, _, dlogits = softmax_xent(logits, step % 3)
+            grads = model.backward(dlogits)
+            for a in [logits, *grads]:
+                h.update(a.tobytes())
+            optimizer.step(grads)
+        h.update(model.state_bytes())
+        digests[f"{variant}/{head}"] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def training_digests():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecnn.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", TRAINING_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout)
 
 
 class TestSerialization:
