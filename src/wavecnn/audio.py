@@ -3,7 +3,9 @@
 Supported input: RIFF/WAVE containers with PCM 8/16/24-bit or IEEE float32
 payloads, mono or stereo.  Everything downstream of :func:`load_wav` works on
 float arrays scaled to [-1, 1]; stereo is averaged to mono at load time.
-A float payload or cache file holding NaN or inf raises WavFormatError.
+A float payload or cache file holding NaN or inf raises WavFormatError, as
+does a WAV whose header or payload cannot be decoded: a zero sample rate, a
+16-bit or float32 payload that ends inside a sample, or no complete sample.
 
 The clip cache stores one file per standardized clip: 8000 raw little-endian
 float32 values, named ``<sha1 of "source@offset">.f32``.
@@ -79,6 +81,11 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
         raise WavFormatError(f"{path}: {channels} channels unsupported (want 1 or 2)")
+    if rate == 0:
+        raise WavFormatError(f"{path}: sample rate 0 Hz")
+    if bits in (16, 32) and len(data) % (bits // 8):
+        raise WavFormatError(f"{path}: {len(data)}-byte data chunk is not a whole "
+                             f"number of {bits // 8}-byte samples")
     if audio_format == _PCM and bits == 8:
         samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
     elif audio_format == _PCM and bits == 16:
@@ -98,6 +105,8 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
                              f"at {bits} bits")
     if channels == 2:
         samples = samples[:len(samples) - len(samples) % 2].reshape(-1, 2).mean(axis=1)
+    if not samples.size:
+        raise WavFormatError(f"{path}: data chunk holds no complete sample")
     return samples, rate, channels
 
 

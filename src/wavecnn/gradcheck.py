@@ -2,8 +2,8 @@
 
 Checks run in float64 with central differences (default step 1e-5).  For a
 layer f and a fixed random upstream U, the scalar s(theta) = sum(U * f(theta))
-has analytic gradient given by backward(U); each parameter and the input are
-perturbed elementwise and compared.
+has analytic gradient given by backward(tape, U); each parameter and the
+input are perturbed elementwise and compared.
 
 Relative error for a pair (a, n): |a - n| / max(|a| + |n|, 1e-12), reduced
 with max over elements.  Anything above ~1e-6 at 64-bit usually means a real
@@ -57,13 +57,13 @@ def check_layer(layer, x: np.ndarray, rng: np.random.Generator,
     def scalar() -> float:
         return float(np.sum(upstream * layer.forward(x, cache=False)))
 
-    layer.forward(x, cache=True)
-    dx = layer.backward(upstream)
+    _, tape = layer.forward(x, cache=True)
+    dx, grads = layer.backward(tape, upstream)
     errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x, step))}
-    for owner in layer.param_owners():
-        for role, param in owner.params.items():
-            errors[f"{owner.name}.{role}"] = max_rel_error(
-                owner.grads[role], _numeric_grad(scalar, param, step))
+    slots = [(owner, role) for owner in layer.param_owners() for role in ("weight", "bias")]
+    for (owner, role), grad in zip(slots, grads):
+        errors[f"{owner.name}.{role}"] = max_rel_error(
+            grad, _numeric_grad(scalar, owner.params[role], step))
     return errors
 
 
@@ -134,8 +134,9 @@ def check_end_to_end(seed: int = 0, step: float = STEP) -> float:
         loss, _, _ = softmax_xent(model.forward(x), true_class)
         return loss
 
-    _, _, dlogits = softmax_xent(model.forward(x, cache=True), true_class)
-    analytic = model.backward(dlogits)
+    logits, tape = model.forward(x, cache=True)
+    _, _, dlogits = softmax_xent(logits, true_class)
+    analytic = model.backward(tape, dlogits)
     worst = 0.0
     for grad, param in zip(analytic, model.parameter_arrays()):
         worst = max(worst, max_rel_error(grad, _numeric_grad(scalar, param, step)))

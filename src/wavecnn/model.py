@@ -29,8 +29,8 @@ cause.
 Seeds: ``build_model``/``build_from_specs`` with an integer seed draw
 Glorot-uniform weights, bitwise the same for the same seed.  With
 ``seed=None`` they draw nothing and every parameter starts at zero; such a
-model exists only to be filled (``load_weights``) or to share another
-model's arrays (``Model.replicate``), and records ``config.seed = None``.
+model exists only to be filled (``load_weights``) or to be described
+(``wavecnn params``), and records ``config.seed = None``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
                      Dense, Flatten, InceptionNucleus, Layer, LayerSpec, MaxPool1D,
-                     MaxPool2D, ReLU)
+                     MaxPool2D, ReLU, run_backward, run_forward)
 from .tensor import DTYPE, ShapeError
 
 WITH_INCEPTION = "with_inception"
@@ -134,7 +134,12 @@ class ModelConfig:
 
 
 class Model:
-    """Composition of layers: forward applies them in order, backward reverses."""
+    """Composition of layers: forward applies them in order, backward reverses.
+
+    Like its layers, a model holds no per-call state: every cached forward
+    returns its own tape, so threads may train and infer on one model at
+    once while its parameters stay unchanged.
+    """
 
     def __init__(self, config: ModelConfig, layers: list[Layer]):
         self.config = config
@@ -142,24 +147,22 @@ class Model:
 
     # -- execution ---------------------------------------------------------
 
-    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = False):
+        """Logits, or ``(logits, tape)`` when ``cache`` is true."""
         x = np.asarray(x)
         if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.shape != (1, self.config.input_samples):
             raise ShapeError(f"expected {self.config.input_samples} input samples, "
                              f"got shape {x.shape}")
-        for lyr in self.layers:
-            x = lyr.forward(x, cache=cache)
-        return x
+        logits, tape = run_forward(self.layers, x, cache)
+        return (logits, tape) if cache else logits
 
-    def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
+    def backward(self, tape: list, dlogits: np.ndarray) -> list[np.ndarray]:
         """Propagate from logits to every parameter; returns gradients
-        aligned with :meth:`parameter_arrays`."""
-        grad = dlogits
-        for lyr in reversed(self.layers):
-            grad = lyr.backward(grad)
-        return [owner.grads[role] for owner, role in self._param_slots()]
+        aligned with :meth:`parameter_arrays`.  Empties ``tape``."""
+        _, grads = run_backward(self.layers, tape, dlogits)
+        return grads
 
     # -- parameters --------------------------------------------------------
 
@@ -184,23 +187,12 @@ class Model:
         return b"".join(np.ascontiguousarray(p).tobytes() for p in self.parameter_arrays())
 
     def replicate(self) -> "Model":
-        """A new Model sharing this one's parameter arrays.
+        """A new Model over this one's layers.
 
-        Replicas have independent forward caches and gradient slots, so
-        distinct training samples can run through distinct replicas
-        concurrently while optimizer updates on the shared arrays stay
-        visible to all of them.  Inference needs none: uncached forwards
-        of one model may run concurrently.  The clone draws no weights.
+        Nothing needs it any more, since threads share one model; it is
+        kept for ``bench/test_bench.py``, which still calls it.
         """
-        dtype = self.parameter_arrays()[0].dtype
-        clone = build_from_specs(self.config.layers, self.config.num_classes,
-                                 variant=self.config.variant,
-                                 input_samples=self.config.input_samples,
-                                 seed=None,
-                                 dense_head=self.config.dense_head, dtype=dtype)
-        for mine, theirs in zip(self.param_owners(), clone.param_owners()):
-            theirs.params = mine.params
-        return clone
+        return Model(self.config, self.layers)
 
     # -- shape audit ---------------------------------------------------------
 

@@ -5,11 +5,11 @@ softmax cross-entropy gradients over the batch, add the L2 term, take an Adam
 step.  Training stops at ``max_epochs`` or once the relative loss improvement
 stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
 
-``threads > 1`` fans per-sample forward/backward work across model replicas
-that share parameter storage, because each layer caches its training forward
-for its backward; gradients are still reduced in sample order, so results do
-not depend on the worker count.  Evaluation needs no replicas: its threads
-share the one model, since ``forward(cache=False)`` writes no layer state.
+``threads > 1`` fans per-sample work across that many threads, which all
+run on the one model: a cached forward returns its tape rather than storing
+it on the layers, and backward returns the gradients.  Training and
+evaluation share one ordered map, so gradients are reduced in sample order
+and results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -92,36 +91,27 @@ def load_clips(samples: list[Sample]) -> dict[str, np.ndarray]:
     return {s.clip_path: audio.load_clip(s.clip_path) for s in samples}
 
 
+def _ordered_map(fn, items, threads: int):
+    """Yield ``fn(item)`` for each item, in the order of ``items``, on
+    ``threads`` worker threads when that is more than one."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # executor.map keeps result order == submission order, so a
+        # reduction over the results is ordered no matter the worker count
+        yield from pool.map(fn, items)
+
+
 def _forward_losses(model: Model, jobs, threads: int):
     """Run (x, y) jobs forward+backward; yield (loss, hit, grads) in order."""
-    def run_on(replica, job):
+    def run(job):
         x, y = job
-        logits = replica.forward(x, cache=True)
+        logits, tape = model.forward(x, cache=True)
         loss, probs, dlogits = softmax_xent(logits, y)
-        grads = replica.backward(dlogits)
-        return loss, int(np.argmax(probs) == y), grads
+        return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
 
-    if threads <= 1:
-        yield from (run_on(model, job) for job in jobs)
-        return
-    # each task leases a replica for its duration; replica count == worker
-    # count, so no task ever waits on the queue
-    idle: SimpleQueue = SimpleQueue()
-    idle.put(model)
-    for _ in range(threads - 1):
-        idle.put(model.replicate())
-
-    def leased(job):
-        replica = idle.get()
-        try:
-            return run_on(replica, job)
-        finally:
-            idle.put(replica)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # executor.map keeps result order == submission order, so the
-        # gradient reduction below is ordered no matter the worker count
-        yield from pool.map(leased, jobs)
+    return _ordered_map(run, jobs, threads)
 
 
 def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
@@ -202,10 +192,7 @@ def predict_classes(model: Model, samples: list[Sample],
             raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
-    if threads <= 1:
-        return np.array([predict(s) for s in samples], dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(predict, samples)), dtype=np.int64)
+    return np.array(list(_ordered_map(predict, samples, threads)), dtype=np.int64)
 
 
 def evaluate(model: Model, test: list[Sample], task: TaskSpec,

@@ -12,13 +12,18 @@ from wavecnn.layers import LayerSpec
 from wavecnn.model import build_from_specs
 
 
-def float32_wav_bytes(values, rate=8000):
-    """A mono IEEE-float WAV holding ``values``, NaN and inf included."""
-    payload = np.asarray(values, dtype="<f4").tobytes()
+def wav_bytes(payload: bytes, audio_format=1, bits=16, rate=8000):
+    """A mono WAV whose data chunk is ``payload`` as given, whole samples or not."""
+    width = bits // 8
     return struct.pack("<4sI4s4sIHHIIHH4sI",
                        b"RIFF", 36 + len(payload), b"WAVE",
-                       b"fmt ", 16, 3, 1, rate, rate * 4, 4, 32,
+                       b"fmt ", 16, audio_format, 1, rate, rate * width, width, bits,
                        b"data", len(payload)) + payload
+
+
+def float32_wav_bytes(values, rate=8000):
+    """A mono IEEE-float WAV holding ``values``, NaN and inf included."""
+    return wav_bytes(np.asarray(values, dtype="<f4").tobytes(), 3, 32, rate)
 
 
 def tiny_specs(num_classes):

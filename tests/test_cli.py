@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import float32_wav_bytes
+from conftest import float32_wav_bytes, wav_bytes
 from wavecnn import layers
+from wavecnn.audio import write_wav
 from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.synth import SynthSpec, generate
@@ -76,6 +77,28 @@ class TestPrepare:
         assert rc == EXIT_PARTIAL
         assert len(list(out.glob("*.f32"))) == 20
         assert f"error: {bad}: non-finite samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, audio_format, bits, rate, cause", [
+        (b"\x01\x02\x03", 1, 16, 8000,
+         "3-byte data chunk is not a whole number of 2-byte samples"),
+        (b"\x00" * 6, 3, 32, 8000,
+         "6-byte data chunk is not a whole number of 4-byte samples"),
+        (b"\x00" * 4, 1, 16, 0, "sample rate 0 Hz"),
+        (b"", 1, 16, 8000, "data chunk holds no complete sample"),
+    ], ids=["odd_16bit", "ragged_float32", "zero_rate", "empty_data"])
+    def test_undecodable_wav_reports_partial_failure(self, tmp_path, capsys, payload,
+                                                     audio_format, bits, rate, cause):
+        write_wav(tmp_path / "good.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(wav_bytes(payload, audio_format, bits, rate))
+        write_manifest(tmp_path / "manifest.csv", [("good.wav", "canonical", 6, "F00"),
+                                                   ("bad.wav", "canonical", 6, "F00")])
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        assert len(list(out.glob("*.f32"))) == 1
+        assert f"error: {bad}: {cause}" in capsys.readouterr().err
 
     def test_rerun_is_byte_identical(self, corpus, cache, tmp_path):
         _, manifest = corpus

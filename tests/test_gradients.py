@@ -67,8 +67,9 @@ def test_pool_followed_by_relu_composite():
     def scalar():
         return softmax_xent(model.forward(x), 1)[0]
 
-    _, _, dlogits = softmax_xent(model.forward(x, cache=True), 1)
-    analytic = model.backward(dlogits)
+    logits, tape = model.forward(x, cache=True)
+    _, _, dlogits = softmax_xent(logits, 1)
+    analytic = model.backward(tape, dlogits)
     for grad, param in zip(analytic, model.parameter_arrays()):
         assert max_rel_error(grad, _numeric_grad(scalar, param)) < TOLERANCE
 
@@ -91,8 +92,9 @@ def test_dense_head_end_to_end_gradients():
     def scalar():
         return softmax_xent(model.forward(x), 0)[0]
 
-    _, _, dlogits = softmax_xent(model.forward(x, cache=True), 0)
-    analytic = model.backward(dlogits)
+    logits, tape = model.forward(x, cache=True)
+    _, _, dlogits = softmax_xent(logits, 0)
+    analytic = model.backward(tape, dlogits)
     for grad, param in zip(analytic, model.parameter_arrays()):
         assert max_rel_error(grad, _numeric_grad(scalar, param)) < TOLERANCE
 
@@ -102,12 +104,13 @@ def test_zero_upstream_zeroes_every_layer_kind():
 
     rng = np.random.default_rng(7)
     for kind, (layer, x) in _tiny_layers(rng).items():
-        out = layer.forward(x, cache=True)
-        dx = layer.backward(np.zeros_like(out))
+        out, tape = layer.forward(x, cache=True)
+        dx, grads = layer.backward(tape, np.zeros_like(out))
         assert not dx.any(), kind
-        for owner in layer.param_owners():
-            for role, grad in owner.grads.items():
-                assert not grad.any(), f"{kind}.{role}"
+        roles = [f"{owner.name}.{role}" for owner in layer.param_owners()
+                 for role in ("weight", "bias")]
+        for role, grad in zip(roles, grads, strict=True):
+            assert not grad.any(), f"{kind}.{role}"
 
 
 def test_max_rel_error_definition():

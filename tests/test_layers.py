@@ -53,27 +53,27 @@ class TestConv1D:
 
     def test_single_element_gradients_by_hand(self):
         layer = conv1d_of([[[2.0]]])
-        layer.forward(np.array([[5.0]]), cache=True)
-        dx = layer.backward(np.array([[1.0]]))
-        assert layer.grads["weight"].item() == pytest.approx(5.0)
-        assert layer.grads["bias"].item() == pytest.approx(1.0)
+        _, tape = layer.forward(np.array([[5.0]]), cache=True)
+        dx, (dw, db) = layer.backward(tape, np.array([[1.0]]))
+        assert dw.item() == pytest.approx(5.0)
+        assert db.item() == pytest.approx(1.0)
         npt.assert_allclose(dx, [[2.0]])
 
     def test_zero_upstream_zero_gradients(self):
         layer = Conv1D(2, 3, 3, 2, SAME, RNG, F64)
-        layer.forward(RNG.standard_normal((2, 9)), cache=True)
-        dx = layer.backward(np.zeros((3, 5)))
-        assert not layer.grads["weight"].any()
-        assert not layer.grads["bias"].any()
+        _, tape = layer.forward(RNG.standard_normal((2, 9)), cache=True)
+        dx, (dw, db) = layer.backward(tape, np.zeros((3, 5)))
+        assert not dw.any()
+        assert not db.any()
         assert not dx.any()
 
     @pytest.mark.parametrize("stride", [1, 3])  # shift-GEMM and im2col paths
     def test_weight_and_gradient_stay_rank_3(self, stride):
         layer = Conv1D(9, 4, 8, stride, SAME, RNG, F64)
         assert layer.params["weight"].shape == (4, 9, 8)
-        out = layer.forward(RNG.standard_normal((9, 12)), cache=True)
-        dx = layer.backward(np.ones_like(out))
-        assert layer.grads["weight"].shape == (4, 9, 8)
+        out, tape = layer.forward(RNG.standard_normal((9, 12)), cache=True)
+        dx, (dw, _) = layer.backward(tape, np.ones_like(out))
+        assert dw.shape == (4, 9, 8)
         assert dx.shape == (9, 12)
 
 
@@ -110,9 +110,9 @@ class TestConv2D:
 
     def test_zero_upstream_zero_gradients(self):
         layer = Conv2D(2, 3, (3, 3), (1, 1), SAME, RNG, F64)
-        layer.forward(RNG.standard_normal((2, 5, 6)), cache=True)
-        dx = layer.backward(np.zeros((3, 5, 6)))
-        assert not layer.grads["weight"].any() and not dx.any()
+        _, tape = layer.forward(RNG.standard_normal((2, 5, 6)), cache=True)
+        dx, (dw, _) = layer.backward(tape, np.zeros((3, 5, 6)))
+        assert not dw.any() and not dx.any()
 
 
 @pytest.mark.parametrize("make, in_shape", [
@@ -125,13 +125,12 @@ def test_uncached_forward_between_forward_and_backward_changes_nothing(make, in_
     x1, x2 = rng.standard_normal(in_shape), rng.standard_normal(in_shape)
     layer = make()
     upstream = rng.standard_normal(layer.out_shape(in_shape))
-    layer.forward(x1, cache=True)
-    dx_ref = layer.backward(upstream)
-    dw_ref = layer.grads["weight"].copy()
-    layer.forward(x1, cache=True)
+    _, tape = layer.forward(x1, cache=True)
+    dx_ref, (dw_ref, _) = layer.backward(tape, upstream)
+    _, tape = layer.forward(x1, cache=True)
     layer.forward(x2, cache=False)
-    dx = layer.backward(upstream)
-    npt.assert_array_equal(layer.grads["weight"], dw_ref)
+    dx, (dw, _) = layer.backward(tape, upstream)
+    npt.assert_array_equal(dw, dw_ref)
     npt.assert_array_equal(dx, dx_ref)
 
 
@@ -142,9 +141,9 @@ class TestMaxPool:
 
     def test_pool2d_forward_and_backward_routing(self):
         pool = MaxPool2D((2, 2), (2, 2))
-        out = pool.forward(np.array([[[1., 2], [3, 4]]]), cache=True)
+        out, tape = pool.forward(np.array([[[1., 2], [3, 4]]]), cache=True)
         npt.assert_allclose(out, [[[4.0]]])
-        dx = pool.backward(np.array([[[1.0]]]))
+        dx, _ = pool.backward(tape, np.array([[[1.0]]]))
         npt.assert_allclose(dx, [[[0, 0], [0, 1.0]]])
 
     def test_pool1d_shape_500_10_1(self):
@@ -158,28 +157,28 @@ class TestMaxPool:
 
     def test_overlapping_windows_accumulate(self):
         pool = MaxPool1D(2, 1)
-        pool.forward(np.array([[1., 9, 2]]), cache=True)
-        dx = pool.backward(np.array([[1., 1]]))
+        _, tape = pool.forward(np.array([[1., 9, 2]]), cache=True)
+        dx, _ = pool.backward(tape, np.array([[1., 1]]))
         npt.assert_allclose(dx, [[0, 2, 0]])  # the 9 wins both windows
 
     def test_tie_routes_to_first_position(self):
         pool = MaxPool1D(3, 3)
-        pool.forward(np.array([[7., 7, 7]]), cache=True)
-        npt.assert_allclose(pool.backward(np.array([[1.]])), [[1, 0, 0]])
+        _, tape = pool.forward(np.array([[7., 7, 7]]), cache=True)
+        npt.assert_allclose(pool.backward(tape, np.array([[1.]]))[0], [[1, 0, 0]])
 
     # a NaN in a window makes its max NaN, which equals no position, so the
     # window routes no gradient
     def test_nan_window_2d_routes_nothing(self):
         pool = MaxPool2D((2, 2), (2, 2))
-        out = pool.forward(np.array([[[np.nan, 1.], [2., 3.]]]), cache=True)
+        out, tape = pool.forward(np.array([[[np.nan, 1.], [2., 3.]]]), cache=True)
         assert np.isnan(out).all()
-        dx = pool.backward(np.array([[[1.0]]]))
+        dx, _ = pool.backward(tape, np.array([[[1.0]]]))
         npt.assert_array_equal(dx, [[[0, 0], [0, 0]]])
 
     def test_nan_windows_1d_route_only_finite_ones(self):
         pool = MaxPool1D(3, 1)
-        pool.forward(np.array([[1., np.nan, 2., 5., 5.]]), cache=True)
-        dx = pool.backward(np.ones((1, 3)))
+        _, tape = pool.forward(np.array([[1., np.nan, 2., 5., 5.]]), cache=True)
+        dx, _ = pool.backward(tape, np.ones((1, 3)))
         npt.assert_array_equal(dx, [[0, 0, 0, 1, 0]])
 
 
@@ -189,8 +188,8 @@ class TestReLU:
 
     def test_gradient_mask(self):
         layer = ReLU()
-        layer.forward(np.array([-1., 2]), cache=True)
-        npt.assert_allclose(layer.backward(np.array([5., 5])), [0, 5])
+        _, tape = layer.forward(np.array([-1., 2]), cache=True)
+        npt.assert_allclose(layer.backward(tape, np.array([5., 5]))[0], [0, 5])
 
     def test_idempotent(self):
         x = RNG.standard_normal(64)
@@ -225,13 +224,13 @@ class TestInception:
         b0, b1 = Conv1D(2, 3, 2, 2, SAME, rng, F64), Conv1D(2, 4, 4, 2, SAME, rng, F64)
         nucleus = InceptionNucleus([[b0], [b1]])
         x = rng.standard_normal((2, 10))
-        out = nucleus.forward(x, cache=True)
+        out, tape = nucleus.forward(x, cache=True)
         assert out.shape == (7, 5)
         upstream = np.zeros((7, 5))
         upstream[:3] = rng.standard_normal((3, 5))  # only branch 0 receives signal
-        nucleus.backward(upstream)
-        assert b0.grads["weight"].any()
-        assert not b1.grads["weight"].any()
+        _, (b0_dw, _, b1_dw, _) = nucleus.backward(tape, upstream)
+        assert b0_dw.any()
+        assert not b1_dw.any()
 
     def test_mismatched_branch_lengths_rejected(self):
         rng = np.random.default_rng(10)
@@ -248,8 +247,8 @@ class TestReshapeAndHead:
     def test_reshape_round_trip_preserves_data(self):
         layer = ChannelsFirstReshape()
         x = RNG.standard_normal((5, 7))
-        out = layer.forward(x, cache=True)
-        npt.assert_array_equal(layer.backward(out), x)
+        out, tape = layer.forward(x, cache=True)
+        npt.assert_array_equal(layer.backward(tape, out)[0], x)
 
     def test_head_single_spatial_position_passes_values_through(self):
         head = ClassHead(3)
@@ -263,8 +262,8 @@ class TestReshapeAndHead:
 
     def test_head_gradient_is_inverse_spatial_size(self):
         head = ClassHead(2)
-        head.forward(RNG.standard_normal((2, 4, 5)), cache=True)
-        dx = head.backward(np.array([1.0, 0.0]))
+        _, tape = head.forward(RNG.standard_normal((2, 4, 5)), cache=True)
+        dx, _ = head.backward(tape, np.array([1.0, 0.0]))
         npt.assert_allclose(dx[0], np.full((4, 5), 1.0 / 20))
         npt.assert_allclose(dx[1], 0)
 

@@ -183,9 +183,9 @@ class TestForwardBackward:
     def test_backward_yields_gradient_per_parameter(self):
         model = build_model(WITHOUT_INCEPTION, 3, seed=2)
         x = np.random.default_rng(1).standard_normal(8000).astype(np.float32)
-        logits = model.forward(x, cache=True)
+        logits, tape = model.forward(x, cache=True)
         _, _, dlogits = softmax_xent(logits, 1)
-        grads = model.backward(dlogits)
+        grads = model.backward(tape, dlogits)
         params = model.parameter_arrays()
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
@@ -195,9 +195,26 @@ class TestForwardBackward:
     def test_zero_upstream_gives_zero_gradients_everywhere(self):
         model = build_model(WITHOUT_INCEPTION, 3, seed=2)
         x = np.random.default_rng(1).standard_normal(8000).astype(np.float32)
-        model.forward(x, cache=True)
-        grads = model.backward(np.zeros(3, np.float32))
+        _, tape = model.forward(x, cache=True)
+        grads = model.backward(tape, np.zeros(3, np.float32))
         assert not any(g.any() for g in grads)
+
+    def test_interleaved_tapes_on_one_model_match_serial(self):
+        model = build_model(WITH_INCEPTION, 3, seed=2)
+        rng = np.random.default_rng(4)
+        clips = [rng.standard_normal(8000).astype(np.float32) for _ in range(2)]
+        ups = [rng.standard_normal(3).astype(np.float32) for _ in range(2)]
+        serial = []
+        for x, up in zip(clips, ups):
+            _, tape = model.forward(x, cache=True)
+            serial.append(model.backward(tape, up))
+        # both forwards run before either backward, and the later one is
+        # differentiated first
+        tapes = [model.forward(x, cache=True)[1] for x in clips]
+        second = model.backward(tapes[1], ups[1])
+        first = model.backward(tapes[0], ups[0])
+        for got, want in ((first, serial[0]), (second, serial[1])):
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
 
     def test_concurrent_uncached_forwards_on_one_model_match_serial(self):
         model = build_model(WITHOUT_INCEPTION, 3, seed=5)
@@ -244,29 +261,30 @@ class TestForwardBackward:
         seen = {}
         for lyr in every:
             lyr.forward = recording_forward(lyr, seen)
-        model.forward(np.random.default_rng(0).standard_normal(8000).astype(np.float32),
-                      cache=True)
+        logits, model_tape = model.forward(
+            np.random.default_rng(0).standard_normal(8000).astype(np.float32), cache=True)
         for lyr in every:
-            x, out = seen[id(lyr)]
+            x, out, tape = seen[id(lyr)]
             if isinstance(lyr, ReLU):
-                assert lyr._cache.dtype == bool and lyr._cache.shape == out.shape
+                assert tape.dtype == bool and tape.shape == out.shape
             elif isinstance(lyr, MaxPool2D):
-                _, first, _ = lyr._cache
+                _, first, _ = tape
                 assert first.dtype == np.uint8
                 # MaxPool1D indexes its (C, 1, n) view of the (C, n) output
                 assert first.shape in (out.shape, out.shape[:1] + (1,) + out.shape[1:])
-                for a in cached_arrays(lyr._cache):
+                for a in cached_arrays(tape):
                     assert not np.may_share_memory(a, x)
                     assert not np.may_share_memory(a, out)
-        # each buffer a cache keeps alive, counted once; 49.4 MiB when ReLU
+        # each buffer a tape keeps alive, counted once; 49.4 MiB when ReLU
         # and the pools cached their float activations
         held = {}
-        for lyr in every:
-            for a in cached_arrays(lyr._cache):
-                while isinstance(a.base, np.ndarray):
-                    a = a.base
-                held[id(a)] = a.nbytes
+        for a in cached_arrays(model_tape):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a.nbytes
         assert sum(held.values()) <= 26 * 2**20
+        model.backward(model_tape, np.ones_like(logits))
+        assert model_tape == []
 
     @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
     @pytest.mark.parametrize("head", ["gap", "dense"])
@@ -299,10 +317,10 @@ def cached_arrays(cache):
 def recording_forward(lyr, seen):
     forward = lyr.forward
 
-    def wrapped(x, cache=True):
-        out = forward(x, cache=cache)
-        seen[id(lyr)] = (x, out)
-        return out
+    def wrapped(x, cache=False):
+        out, tape = forward(x, cache=True)
+        seen[id(lyr)] = (x, out, tape)
+        return (out, tape) if cache else out
     return wrapped
 
 
@@ -337,9 +355,9 @@ for variant in ("with_inception", "without_inception"):
         h = hashlib.sha256()
         for step in range(3):
             x = rng.standard_normal(8000).astype(np.float32)
-            logits = model.forward(x, cache=True)
+            logits, tape = model.forward(x, cache=True)
             _, _, dlogits = softmax_xent(logits, step % 3)
-            grads = model.backward(dlogits)
+            grads = model.backward(tape, dlogits)
             for a in [logits, *grads]:
                 h.update(a.tobytes())
             optimizer.step(grads)

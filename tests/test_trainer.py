@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,13 +58,20 @@ class TestTrainLoop:
 
     def test_threaded_reduction_matches_single_thread(self, two_tone_corpus):
         samples, clips = two_tone_corpus
-        histories = []
-        for threads in (1, 3):
-            model = tiny_model(2, seed=6)
-            history, _ = train(model, split_all_train(samples), IDS_VS_ADS,
-                               quick_config(max_epochs=4, threads=threads), clips)
-            histories.append([h["loss"] for h in history])
+        histories, states = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches inside each step
+        try:
+            for threads in (1, 3):
+                model = tiny_model(2, seed=6)
+                history, _ = train(model, split_all_train(samples), IDS_VS_ADS,
+                                   quick_config(max_epochs=4, threads=threads), clips)
+                histories.append([h["loss"] for h in history])
+                states.append(model.state_bytes())
+        finally:
+            sys.setswitchinterval(interval)
         assert histories[0] == histories[1]
+        assert states[0] == states[1]
 
     def test_convergence_stop_after_patience(self, two_tone_corpus):
         samples, clips = two_tone_corpus
