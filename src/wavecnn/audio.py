@@ -131,14 +131,16 @@ def _anti_alias_taps(rate: int) -> np.ndarray:
     return taps / taps.sum()
 
 
-def resample_to_8k(samples: np.ndarray, rate: int) -> np.ndarray:
+def resample_to_8k(samples: np.ndarray, rate: int, source="") -> np.ndarray:
     """Low-pass at 3.6 kHz then linearly interpolate down to 8 kHz.
 
     Output length is round(len * 8000 / rate).  Upsampling is out of scope:
-    rates below 8 kHz are rejected.
+    rates below 8 kHz are rejected, naming ``source`` when it is given.
     """
     if rate < SAMPLE_RATE:
-        raise WavFormatError(f"cannot upsample from {rate} Hz; need >= {SAMPLE_RATE}")
+        where = f"{source}: " if source else ""
+        raise WavFormatError(f"{where}cannot upsample from {rate} Hz; "
+                             f"need >= {SAMPLE_RATE}")
     samples = np.asarray(samples, dtype=np.float64)
     if rate == SAMPLE_RATE:
         return samples.copy()
@@ -231,7 +233,7 @@ def load_clip(path) -> np.ndarray:
     if path.suffix == ".f32":
         return read_clip_cache(path)
     samples, rate, _ = load_wav(path)
-    samples_8k = resample_to_8k(samples, rate)
+    samples_8k = resample_to_8k(samples, rate, source=path)
     if len(samples_8k) < CLIP_SAMPLES * MIN_KEEP_FRACTION:
         raise WavFormatError(f"{path}: {len(samples_8k) / SAMPLE_RATE:.2f} s of audio "
                              f"is too short for a 1-second clip")

@@ -23,7 +23,7 @@ from .data import get_task, make_split, parse_manifest, write_manifest
 from .gradcheck import TOLERANCE, run_full_check
 from .layers import softmax
 from .model import VARIANTS, build_model, load_weights, save_weights
-from .train import TrainConfig, evaluate, load_clips, train
+from .train import TrainConfig, TrainingError, evaluate, load_clips, train
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -87,6 +87,7 @@ def resolve_train_config(args) -> tuple[TrainConfig, dict]:
             raise CliError(f"bad value for {key}: {value!r}")
     if config.threads == 1 and "threads" not in merged:
         config.threads = _threads_default()
+    config.validate()
     return config, merged
 
 
@@ -127,7 +128,7 @@ def cmd_prepare(args) -> int:
     for sample in samples:
         try:
             raw, rate, _ = audio.load_wav(sample.clip_path)
-            signal = audio.resample_to_8k(raw, rate)
+            signal = audio.resample_to_8k(raw, rate, source=sample.clip_path)
             clips = audio.extract_clips(signal, [(0.0, len(signal) / audio.SAMPLE_RATE)],
                                         source_path=sample.clip_path)
             if not clips:
@@ -153,6 +154,10 @@ def cmd_train(args) -> int:
     task = get_task(config.task)
     split = make_split(samples, task, policy=config.split, seed=config.seed,
                        test_fraction=config.test_fraction)
+    for part, members in (("training", split.train), ("test", split.test)):
+        if not members:
+            raise CliError(f"the {config.split} split of task {task.name} leaves "
+                           f"the {part} set empty")
     run_dir = _run_dir(merged.get("out"), config)
     _write_resolved(run_dir, config, {"manifest": str(manifest)})
     model = build_model(config.variant, task.num_classes, seed=config.seed,
@@ -330,7 +335,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, FloatingPointError) as err:
+    except (ValueError, KeyError, OSError, FloatingPointError, TrainingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

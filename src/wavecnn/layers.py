@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import gemm_acc
 from .optim import glorot_init
 from .tensor import ShapeError
 
@@ -162,9 +163,11 @@ class Conv2D(Layer):
 
     Stride-1 convolutions with more than 64 input taps run as one GEMM per
     kernel offset over the flattened padded image, which avoids
-    materializing im2col columns; the rest take the im2col path.  Every
-    call allocates its own buffers, so a tape stays valid however many other
-    calls run before its backward, on this thread or another.
+    materializing im2col columns; each offset's GEMM accumulates straight
+    into the output (forward) or the input gradient (backward) inside BLAS,
+    through :func:`~wavecnn.blas.gemm_acc`.  The rest take the im2col path.
+    Every call allocates its own buffers, so a tape stays valid however many
+    other calls run before its backward, on this thread or another.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
@@ -238,15 +241,13 @@ class Conv2D(Layer):
                                                     pl:pl + x.shape[2]] = x
         span = (nh - 1) * wp + nw  # flat span covering all output positions
         acc = np.zeros((self.out_ch, nh * wp), dtype=x.dtype)
-        tmp = np.empty((self.out_ch, span), dtype=x.dtype)
-        # (kh, kw, out, in) blocks are contiguous, keeping matmul on the
-        # BLAS fast path; strided operands fall off it by ~30x
+        # (kh, kw, out, in) makes each tap's weight a row-major block, the
+        # only layout gemm_acc takes
         wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
         for di in range(kh):
             for dj in range(kw):
                 off = di * wp + dj
-                np.matmul(wk[di, dj], xf[:, off:off + span], out=tmp)
-                acc[:, :span] += tmp
+                gemm_acc(wk[di, dj], xf[:, off:off + span], acc[:, :span])
         out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw].copy()
         out += self.params["bias"][:, None, None]
         return out, ("shift", (xf, x.shape, (hp, wp), pads, (nh, nw)))
@@ -260,13 +261,11 @@ class Conv2D(Layer):
         wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
         dw = np.empty((self.out_ch, self.in_ch, kh, kw), dtype=upstream.dtype)
         dxf = np.zeros(xf.shape, dtype=upstream.dtype)
-        dtmp = np.empty((self.in_ch, span), dtype=upstream.dtype)
         for di in range(kh):
             for dj in range(kw):
                 off = di * wp + dj
                 dw[:, :, di, dj] = grid @ xf[:, off:off + span].T
-                np.matmul(wk[di, dj].T, grid, out=dtmp)
-                dxf[:, off:off + span] += dtmp
+                gemm_acc(wk[di, dj].T, grid, dxf[:, off:off + span])
         dxp = dxf[:, :hp * wp].reshape(self.in_ch, hp, wp)
         (pt, _), (pl, _) = pads
         return dw, dxp[:, pt:pt + x_shape[1], pl:pl + x_shape[2]].copy()

@@ -15,6 +15,7 @@ and results do not depend on the worker count.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,6 +30,10 @@ from .optim import Adam, l2_penalty
 
 class TrainingError(RuntimeError):
     """Training aborted; the message carries the epoch/batch position."""
+
+
+class ConfigError(ValueError):
+    """A :class:`TrainConfig` setting out of its range."""
 
 
 @dataclass
@@ -46,6 +51,23 @@ class TrainConfig:
     dense_head: bool = False
     converge_rel: float = 1e-4
     converge_patience: int = 10
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first setting out of its range.
+
+        The command line runs this before it writes any file.  :func:`train`
+        does not, so a library caller may still train with ``lr=0`` to hold
+        the weights fixed.
+        """
+        for name in ("max_epochs", "batch_size", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 < self.test_fraction < 1:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass

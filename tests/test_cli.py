@@ -317,3 +317,65 @@ class TestThreadsEnvFallback:
         run = tmp_path / "flag_run"
         assert main(train_args(cache, run, extra=["--threads", "1"])) == EXIT_OK
         assert "threads=1" in (run / "config.resolved").read_text()
+
+
+class TestLowRateWav:
+    """A WAV sampled below 8 kHz fails naming the file, on every command."""
+
+    @pytest.fixture
+    def low_rate_wav(self, tmp_path):
+        wav = tmp_path / "slow.wav"
+        write_wav(wav, 0.1 * np.sin(np.arange(8000) / 5.0), rate=4000)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [(wav.name, "canonical", 6, "F00")])
+        return wav, manifest
+
+    def test_prepare_names_the_file(self, low_rate_wav, tmp_path, capsys):
+        wav, manifest = low_rate_wav
+        rc = main(["prepare", "--manifest", str(manifest), "--out", str(tmp_path / "c")])
+        assert rc == EXIT_PARTIAL
+        assert f"error: {wav}: cannot upsample from 4000 Hz" in capsys.readouterr().err
+
+    def test_predict_names_the_file(self, low_rate_wav, run_dir, capsys):
+        wav, _ = low_rate_wav
+        rc = main(["predict", "--weights", str(run_dir / "weights.bin"), "--wav", str(wav)])
+        assert rc == EXIT_USAGE
+        assert f"error: {wav}: cannot upsample from 4000 Hz" in capsys.readouterr().err
+
+    def test_eval_names_the_file(self, low_rate_wav, run_dir, capsys):
+        wav, manifest = low_rate_wav
+        rc = main(["eval", "--weights", str(run_dir / "weights.bin"),
+                   "--manifest", str(manifest), "--task", "vocal_vs_nonvocal"])
+        assert rc == EXIT_USAGE
+        assert f"error: {wav}: cannot upsample from 4000 Hz" in capsys.readouterr().err
+
+
+class TestTrainSettingsRejectedBeforeAnyFile:
+    @pytest.mark.parametrize("flags,cause", [
+        (["--epochs", "0"], "max_epochs must be >= 1"),
+        (["--threads", "0"], "threads must be >= 1"),
+        (["--batch", "0"], "batch_size must be >= 1"),
+        (["--lr", "nan"], "lr must be finite and > 0"),
+        (["--lambda", "-1"], "lam must be finite and >= 0"),
+        (["--test-fraction", "1.5"], "test_fraction must be in (0, 1)"),
+        (["--test-fraction", "0.99"], "leaves the training set empty"),
+    ], ids=["epochs-0", "threads-0", "batch-0", "lr-nan", "lambda-negative",
+            "test-fraction-1.5", "test-fraction-0.99"])
+    def test_exit_2_naming_the_setting(self, cache, tmp_path, capsys, flags, cause):
+        out = tmp_path / "run"
+        rc = main(train_args(cache, out, extra=flags))
+        assert rc == EXIT_USAGE
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_training_error_exits_2(self, cache, tmp_path, capsys, monkeypatch):
+        from wavecnn import cli
+        from wavecnn.train import TrainingError
+
+        def abort(*args, **kwargs):
+            raise TrainingError("non-finite loss at epoch 0 batch 0")
+
+        monkeypatch.setattr(cli, "train", abort)
+        rc = main(train_args(cache, tmp_path / "run"))
+        assert rc == EXIT_USAGE
+        assert "error: non-finite loss at epoch 0 batch 0" in capsys.readouterr().err

@@ -250,3 +250,20 @@ class TestLofoSweep:
         with pytest.raises(ValueError, match=">= 2 families"):
             lofo_sweep(samples, IDS_VS_ADS, quick_config(), clips,
                        model_factory=lambda: tiny_model(2))
+
+
+
+@pytest.mark.parametrize("overrides", [
+    {"max_epochs": 0}, {"batch_size": 0}, {"threads": -3}, {"lr": 0.0},
+    {"lr": float("inf")}, {"lam": float("nan")}, {"lam": -1e-4}, {"test_fraction": 0.0},
+    {"test_fraction": 1.0},
+], ids=["epochs-0", "batch-0", "threads-neg", "lr-0", "lr-inf", "lam-nan", "lam-neg",
+        "test-fraction-0", "test-fraction-1"])
+def test_validate_names_the_setting_out_of_range(overrides):
+    from wavecnn.train import ConfigError
+    with pytest.raises(ConfigError, match=next(iter(overrides))):
+        TrainConfig(**overrides).validate()
+
+
+def test_validate_accepts_the_defaults():
+    TrainConfig().validate()
