@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ class AudioClip:
     samples: np.ndarray          # exactly 8000 float32 values
     source_path: str = ""
     source_offset_s: float = 0.0
-    sample_rate: int = field(default=SAMPLE_RATE)
 
     def __post_init__(self):
         if self.samples.shape != (CLIP_SAMPLES,):
@@ -222,22 +221,23 @@ def read_clip_cache(path) -> np.ndarray:
     return samples
 
 
-def load_clip(path) -> np.ndarray:
-    """Load one standardized 8000-sample clip from a .f32 cache file or a WAV.
+def wav_clips(samples: np.ndarray, rate: int, source="") -> list[AudioClip]:
+    """Resample a decoded WAV to 8 kHz and tile all of it into standardized
+    1-second clips; a signal under 0.5 s raises WavFormatError."""
+    samples_8k = resample_to_8k(samples, rate, source=source)
+    seconds = len(samples_8k) / SAMPLE_RATE
+    if len(samples_8k) < CLIP_SAMPLES * MIN_KEEP_FRACTION:
+        raise WavFormatError(f"{source}: {seconds:.2f} s of audio is too short "
+                             f"for a 1-second clip")
+    clips = extract_clips(samples_8k, [(0.0, seconds)], source_path=str(source))
+    return [standardize(clip) for clip in clips]
 
-    WAV inputs are resampled to 8 kHz; longer signals are truncated to the
-    first second and shorter ones (>= 0.5 s) zero-padded, mirroring the
-    extraction policy.  Cache files are assumed already standardized.
-    """
+
+def load_clip(path) -> np.ndarray:
+    """One standardized 8000-sample clip from a .f32 cache file (assumed
+    standardized) or from a WAV: the first clip of :func:`wav_clips`."""
     path = Path(path)
     if path.suffix == ".f32":
         return read_clip_cache(path)
     samples, rate, _ = load_wav(path)
-    samples_8k = resample_to_8k(samples, rate, source=path)
-    if len(samples_8k) < CLIP_SAMPLES * MIN_KEEP_FRACTION:
-        raise WavFormatError(f"{path}: {len(samples_8k) / SAMPLE_RATE:.2f} s of audio "
-                             f"is too short for a 1-second clip")
-    window = np.zeros(CLIP_SAMPLES, dtype=np.float32)
-    usable = min(len(samples_8k), CLIP_SAMPLES)
-    window[:usable] = samples_8k[:usable]
-    return standardize_samples(window)
+    return wav_clips(samples, rate, source=path)[0].samples

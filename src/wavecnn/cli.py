@@ -17,9 +17,11 @@ import sys
 import time
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import audio, synth
-from .data import get_task, make_split, parse_manifest, write_manifest
+from .data import (get_task, make_split, parse_manifest, read_utf8_lines,
+                   write_manifest)
 from .gradcheck import TOLERANCE, run_full_check
 from .layers import softmax
 from .model import VARIANTS, build_model, load_weights, save_weights
@@ -29,25 +31,29 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = {f.name for f in fields(TrainConfig)} | {"manifest", "out"}
+_SETTING_TYPES = get_type_hints(TrainConfig)  # the one type table for settings
+_CONFIG_KEYS = set(_SETTING_TYPES) | {"manifest", "out"}
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class CliError(Exception):
     """Usage/config error; maps to exit code 2."""
 
 
-def _threads_default() -> int:
-    env = os.environ.get("WAVENET_THREADS", "")
+def _typed(key: str, text: str, where: str):
+    """Convert a setting's text to its TrainConfig field type."""
+    kind = _SETTING_TYPES.get(key, str)
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise CliError(f"WAVENET_THREADS must be an integer, got {env!r}")
+        return _BOOLS[text.lower()] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise CliError(f"{where}: bad value for {key}: {text!r}") from None
 
 
-def read_config_file(path) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment; unknown keys are errors."""
+def read_config_file(path) -> dict:
+    """Parse key=value lines into typed values; '#' starts a comment; unknown
+    keys are errors."""
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8_lines(path, CliError), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -56,39 +62,25 @@ def read_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        values[key] = _typed(key, value, f"{path}:{lineno}")
     return values
 
 
 def resolve_train_config(args) -> tuple[TrainConfig, dict]:
-    """Merge config-file values and flag overrides; flags win."""
-    file_values = read_config_file(args.config) if args.config else {}
-    merged = dict(file_values)
-    flag_map = {
-        "task": args.task, "variant": args.variant, "batch_size": args.batch,
-        "max_epochs": args.epochs, "seed": args.seed, "lam": args.lam,
-        "lr": args.lr, "split": args.split, "test_fraction": args.test_fraction,
-        "threads": args.threads, "dense_head": args.dense_head or None,
-        "manifest": args.manifest, "out": args.out,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            merged[key] = value
-    casts = {"batch_size": int, "max_epochs": int, "seed": int, "threads": int,
-             "lam": float, "lr": float, "test_fraction": float,
-             "dense_head": lambda v: str(v).lower() in ("1", "true", "yes")}
-    config = TrainConfig()
-    for key, value in merged.items():
-        if key in ("manifest", "out"):
-            continue
-        try:
-            setattr(config, key, casts.get(key, str)(value))
-        except ValueError:
-            raise CliError(f"bad value for {key}: {value!r}")
-    if config.threads == 1 and "threads" not in merged:
-        config.threads = _threads_default()
+    """Merge the settings, later sources winning: TrainConfig's defaults,
+    WAVENET_THREADS, the --config file, the flags.  Returns the validated
+    config and the ``manifest``/``out`` paths."""
+    values = {}
+    if env := os.environ.get("WAVENET_THREADS"):
+        values["threads"] = _typed("threads", env, "WAVENET_THREADS")
+    if args.config:
+        values.update(read_config_file(args.config))
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _CONFIG_KEYS and value is not None)
+    paths = {key: values.pop(key) for key in ("manifest", "out") if key in values}
+    config = TrainConfig(**values)
     config.validate()
-    return config, merged
+    return config, paths
 
 
 def _require_manifest(path) -> Path:
@@ -128,14 +120,8 @@ def cmd_prepare(args) -> int:
     for sample in samples:
         try:
             raw, rate, _ = audio.load_wav(sample.clip_path)
-            signal = audio.resample_to_8k(raw, rate, source=sample.clip_path)
-            clips = audio.extract_clips(signal, [(0.0, len(signal) / audio.SAMPLE_RATE)],
-                                        source_path=sample.clip_path)
-            if not clips:
-                raise audio.WavFormatError(f"{sample.clip_path}: too short to "
-                                           f"yield any 1-second clip")
-            for clip in clips:
-                cached = audio.write_clip_cache(out_dir, audio.standardize(clip))
+            for clip in audio.wav_clips(raw, rate, source=sample.clip_path):
+                cached = audio.write_clip_cache(out_dir, clip)
                 rows.append((cached.name, sample.raw_label, sample.age_months,
                              sample.family_id))
         except (audio.WavFormatError, OSError) as err:
@@ -148,8 +134,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config, merged = resolve_train_config(args)
-    manifest = _require_manifest(merged.get("manifest"))
+    config, paths = resolve_train_config(args)
+    manifest = _require_manifest(paths.get("manifest"))
     samples = parse_manifest(manifest)
     task = get_task(config.task)
     split = make_split(samples, task, policy=config.split, seed=config.seed,
@@ -158,11 +144,11 @@ def cmd_train(args) -> int:
         if not members:
             raise CliError(f"the {config.split} split of task {task.name} leaves "
                            f"the {part} set empty")
-    run_dir = _run_dir(merged.get("out"), config)
-    _write_resolved(run_dir, config, {"manifest": str(manifest)})
     model = build_model(config.variant, task.num_classes, seed=config.seed,
                         dense_head=config.dense_head)
     clips = load_clips(task.filter(samples))
+    run_dir = _run_dir(paths.get("out"), config)
+    _write_resolved(run_dir, config, {"manifest": str(manifest.resolve())})
     history, stop_reason = train(model, split, task, config, clips)
     with open(run_dir / "run_log.jsonl", "w") as log:
         for stats in history:
@@ -180,9 +166,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, merged = resolve_train_config(args)
-    manifest = _require_manifest(merged.get("manifest"))
+    config, paths = resolve_train_config(args)
+    manifest = _require_manifest(paths.get("manifest"))
     model = load_weights(args.weights)
+    config.variant, config.dense_head = model.config.variant, model.config.dense_head
     task = get_task(config.task)
     if task.num_classes != model.config.num_classes:
         raise CliError(f"weights were trained for {model.config.num_classes} "
@@ -191,10 +178,9 @@ def cmd_eval(args) -> int:
     if not samples:
         raise CliError(f"no samples participate in task {task.name}")
     report = evaluate(model, samples, task, threads=config.threads)
-    out = merged.get("out")
-    if out:
-        run_dir = _run_dir(out, config)
-        _write_resolved(run_dir, config, {"manifest": str(manifest),
+    if paths.get("out"):
+        run_dir = _run_dir(paths["out"], config)
+        _write_resolved(run_dir, config, {"manifest": str(manifest.resolve()),
                                           "weights": str(args.weights)})
         (run_dir / "report.json").write_text(report.to_json() + "\n")
         (run_dir / "report.csv").write_text(report.to_csv())
@@ -268,21 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Raw-waveform CNN audio classification pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_train_flags(p):
+    def add_run_flags(p):
+        """The flags `train` and `eval` share; each dest is a config key."""
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--manifest")
         p.add_argument("--task")
-        p.add_argument("--variant", choices=list(VARIANTS))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--split", help="holdout or lofo:<family_id>")
-        p.add_argument("--test-fraction", type=float)
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=_SETTING_TYPES["threads"],
                        help="worker threads (default 1; env WAVENET_THREADS)")
-        p.add_argument("--dense-head", action="store_true", default=None)
         p.add_argument("--out", help="run output directory (default: timestamped)")
 
     p = sub.add_parser("prepare", help="ingest WAVs into the standardized clip cache")
@@ -291,12 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model and write weights + reports")
-    add_train_flags(p)
+    add_run_flags(p)
+    p.add_argument("--variant", choices=list(VARIANTS))
+    for flag, dest in (("--seed", "seed"), ("--epochs", "max_epochs"),
+                       ("--batch", "batch_size"), ("--lr", "lr"), ("--lambda", "lam"),
+                       ("--test-fraction", "test_fraction")):
+        p.add_argument(flag, dest=dest, type=_SETTING_TYPES[dest])
+    p.add_argument("--split", help="holdout or lofo:<family_id>")
+    p.add_argument("--dense-head", action="store_true", default=None)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate stored weights on a manifest")
     p.add_argument("--weights", required=True)
-    add_train_flags(p)
+    add_run_flags(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="class probabilities for one WAV file")

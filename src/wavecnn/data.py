@@ -107,10 +107,21 @@ def get_task(name: str) -> TaskSpec:
 MANIFEST_HEADER = "clip_path,raw_label,age_months,family_id"
 
 
+def read_utf8_lines(path, error=ManifestError) -> list[str]:
+    """Lines of a UTF-8 text file; an undecodable byte raises ``error``
+    naming the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        lineno = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}:{lineno}: not UTF-8: {err}") from None
+
+
 def parse_manifest(path) -> list[Sample]:
     """Read and validate a manifest; duplicate clip paths are rejected."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8_lines(path)
     if not lines or lines[0].strip() != MANIFEST_HEADER:
         raise ManifestError(f"{path}: first line must be '{MANIFEST_HEADER}'")
     samples = []

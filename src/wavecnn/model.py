@@ -36,7 +36,7 @@ model exists only to be filled (``load_weights``) or to be described
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class ModelConfig:
     dense_head: bool = False
     input_samples: int = INPUT_SAMPLES
     seed: int | None = 0          # None: built without drawing any weights
-    shapes: list[tuple[int, ...]] = field(default_factory=list)  # filled at build
 
 
 class Model:
@@ -278,7 +277,6 @@ def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
             shape = lyr.out_shape(shape)
         except ShapeError as err:
             raise ShapeError(f"layer {i} ({spec.kind}): {err}") from err
-        config.shapes.append(shape)
         layers.append(lyr)
         prev_kind = spec.kind
     model = Model(config, layers)

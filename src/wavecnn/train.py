@@ -59,13 +59,15 @@ class TrainConfig:
         does not, so a library caller may still train with ``lr=0`` to hold
         the weights fixed.
         """
-        for name in ("max_epochs", "batch_size", "threads"):
+        for name in ("max_epochs", "batch_size", "threads", "converge_patience"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        for name in ("lam", "converge_rel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not 0 < self.test_fraction < 1:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
@@ -151,6 +153,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     params = model.parameter_arrays()
     names = model.parameter_names()
     weight_slots = [i for i, name in enumerate(names) if name.endswith(".weight")]
+    weights = [params[i] for i in weight_slots]
     optimizer = Adam(params, lr=config.lr)
     history = []
     stale_epochs = 0
@@ -164,22 +167,24 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
             acc = [np.zeros_like(p) for p in params]
             data_loss = 0.0
             jobs = [(clips[s.clip_path], task.class_of(s)) for s in batch]
-            for loss, hit, grads in _forward_losses(model, jobs, config.threads):
-                data_loss += loss
-                hits += hit
-                for a, g in zip(acc, grads):
-                    a += g
-            data_loss /= len(batch)
-            for a in acc:
-                a /= len(batch)
-            l2_loss, l2_grads = l2_penalty([params[i] for i in weight_slots], config.lam)
-            for slot, g in zip(weight_slots, l2_grads):
-                acc[slot] += g
-            batch_loss = data_loss + l2_loss
-            if not np.isfinite(batch_loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch} "
-                                    f"batch {batch_idx}")
-            optimizer.step(acc, names)
+            try:
+                for loss, hit, grads in _forward_losses(model, jobs, config.threads):
+                    data_loss += loss
+                    hits += hit
+                    for a, g in zip(acc, grads):
+                        a += g
+                data_loss /= len(batch)
+                for a in acc:
+                    a /= len(batch)
+                l2_loss, l2_grads = l2_penalty(weights, config.lam)
+                for slot, g in zip(weight_slots, l2_grads):
+                    acc[slot] += g
+                batch_loss = data_loss + l2_loss
+                if not np.isfinite(batch_loss):
+                    raise FloatingPointError("non-finite loss")
+                optimizer.step(acc, names)
+            except FloatingPointError as err:
+                raise TrainingError(f"{err} at epoch {epoch} batch {batch_idx}") from err
             epoch_loss += batch_loss
         epoch_loss /= len(epoch_batches)
         train_acc = 100.0 * hits / len(split.train)

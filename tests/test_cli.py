@@ -7,7 +7,7 @@ import pytest
 
 from conftest import float32_wav_bytes, wav_bytes
 from wavecnn import layers
-from wavecnn.audio import write_wav
+from wavecnn.audio import load_clip, read_clip_cache, write_wav
 from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.synth import SynthSpec, generate
@@ -127,6 +127,19 @@ class TestPrepare:
         assert {(s.raw_label, s.age_months, s.family_id) for s in rows} == \
             {("canonical", 6, "F00")}
 
+    @pytest.mark.parametrize("rate,seconds", [(44100, 1.3), (16000, 0.7), (8000, 2.3),
+                                              (22050, 0.62)])
+    def test_load_clip_is_the_first_cached_clip(self, tmp_path, rate, seconds):
+        t = np.arange(int(rate * seconds)) / rate
+        wav = tmp_path / "tone.wav"
+        write_wav(wav, 0.4 * np.sin(2 * np.pi * 700 * t) + 0.05 * np.cos(t * 90), rate)
+        write_manifest(tmp_path / "manifest.csv", [(wav.name, "canonical", 6, "F00")])
+        out = tmp_path / "cache"
+        assert main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                     "--out", str(out)]) == EXIT_OK
+        first = parse_manifest(out / "manifest.csv")[0].clip_path
+        assert load_clip(wav).tobytes() == read_clip_cache(first).tobytes()
+
 
 class TestTrain:
     def test_artifacts_written(self, cache, tmp_path):
@@ -167,6 +180,41 @@ class TestTrain:
         assert "max_epochs=2" in resolved   # flag wins over file
         assert "seed=3" in resolved         # file value kept
 
+    def test_config_resolved_reproduces_the_run(self, cache, tmp_path, monkeypatch):
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.chdir(cache)
+        args = train_args(cache, first)
+        args[2] = "manifest.csv"  # a path relative to this directory
+        assert main(args) == EXIT_OK
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(first / "config.resolved"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in ("run_log.jsonl", "weights.bin", "report.json", "config.resolved"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_convergence_settings_from_config_file(self, cache, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("converge_rel=1\nconverge_patience=1\n")
+        run = tmp_path / "run"
+        assert main(train_args(cache, run, extra=["--config", str(config),
+                                                   "--epochs", "5"])) == EXIT_OK
+        assert len((run / "run_log.jsonl").read_text().splitlines()) == 2
+        assert "converged at epoch 1" in capsys.readouterr().out
+
+    def test_bad_config_value_exits_2_naming_line(self, cache, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed=3\ndense_head=maybe\n")
+        rc = main(train_args(cache, tmp_path / "run", extra=["--config", str(config)]))
+        assert rc == EXIT_USAGE
+        assert f"{config}:2: bad value for dense_head: 'maybe'" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2_naming_line(self, cache, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed=3\nsplit=lofo:F\xff\n")
+        rc = main(train_args(cache, tmp_path / "run", extra=["--config", str(config)]))
+        assert rc == EXIT_USAGE
+        assert f"error: {config}:2: not UTF-8" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, cache, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("task=vocal_vs_nonvocal\nlearning_rate_typo=1\n")
@@ -200,6 +248,25 @@ class TestEvalPredictParams:
         assert rc == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["num_test"] == 20
+
+    def test_eval_rejects_training_flags(self, cache, run_dir, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--weights", str(run_dir / "weights.bin"),
+                  "--manifest", str(cache / "manifest.csv"),
+                  "--task", "vocal_vs_nonvocal", "--epochs", "3"])
+        assert exit_.value.code == EXIT_USAGE
+        assert "--epochs" in capsys.readouterr().err
+
+    def test_eval_records_the_weights_variant(self, cache, run_dir, tmp_path):
+        out = tmp_path / "eval"
+        assert main(["eval", "--weights", str(run_dir / "weights.bin"),
+                     "--manifest", str(cache / "manifest.csv"),
+                     "--task", "vocal_vs_nonvocal", "--out", str(out)]) == EXIT_OK
+        resolved = (out / "config.resolved").read_text().splitlines()
+        assert "variant=without_inception" in resolved
+        assert "dense_head=False" in resolved
+        assert json.loads((out / "report.json").read_text())["variant"] == \
+            "without_inception"
 
     def test_eval_class_count_mismatch(self, cache, run_dir, capsys):
         rc = main(["eval", "--weights", str(run_dir / "weights.bin"),
@@ -318,6 +385,18 @@ class TestThreadsEnvFallback:
         assert main(train_args(cache, run, extra=["--threads", "1"])) == EXIT_OK
         assert "threads=1" in (run / "config.resolved").read_text()
 
+    @pytest.mark.parametrize("value,cause", [
+        ("0", "threads must be >= 1"),
+        ("x", "WAVENET_THREADS: bad value for threads: 'x'"),
+    ], ids=["zero", "not-a-number"])
+    def test_bad_env_value_exits_2(self, cache, tmp_path, monkeypatch, capsys,
+                                   value, cause):
+        monkeypatch.setenv("WAVENET_THREADS", value)
+        out = tmp_path / "run"
+        assert main(train_args(cache, out)) == EXIT_USAGE
+        assert cause in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLowRateWav:
     """A WAV sampled below 8 kHz fails naming the file, on every command."""
@@ -366,6 +445,29 @@ class TestTrainSettingsRejectedBeforeAnyFile:
         rc = main(train_args(cache, out, extra=flags))
         assert rc == EXIT_USAGE
         assert cause in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_variant_in_config_file(self, cache, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("variant=bogus\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--task", "vocal_vs_nonvocal",
+                     "--manifest", str(cache / "manifest.csv"),
+                     "--out", str(out)]) == EXIT_USAGE
+        assert "unknown variant 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_clip_in_manifest(self, cache, tmp_path, capsys):
+        clip = tmp_path / "nan.f32"
+        np.full(8000, np.nan, dtype="<f4").tofile(clip)
+        rows = [(s.clip_path, s.raw_label, s.age_months, s.family_id)
+                for s in parse_manifest(cache / "manifest.csv")]
+        write_manifest(tmp_path / "manifest.csv", rows + [(clip.name, *rows[0][1:])])
+        out = tmp_path / "run"
+        args = train_args(cache, out)
+        args[2] = str(tmp_path / "manifest.csv")
+        assert main(args) == EXIT_USAGE
+        assert f"error: {clip}: non-finite samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_training_error_exits_2(self, cache, tmp_path, capsys, monkeypatch):

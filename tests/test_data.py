@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,13 @@ class TestParseManifest:
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\na.wav,ids,3,F01\na.wav,ads,3,F01\n")
         with pytest.raises(ManifestError, match=r"duplicate.*line 3"):
+            parse_manifest(path)
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"{HEADER}\na.wav,ids,3,F01\n".encode()
+                         + b"b\xff.wav,ids,3,F01\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: not UTF-8"):
             parse_manifest(path)
 
     def test_empty_after_header(self, tmp_path):

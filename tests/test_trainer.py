@@ -90,6 +90,29 @@ class TestTrainLoop:
         with pytest.raises(TrainingError, match=r"epoch 0 batch \d+"):
             train(model, split_all_train(samples), IDS_VS_ADS, quick_config(), clips)
 
+    def test_non_finite_logits_report_epoch_and_batch(self, two_tone_corpus):
+        samples, clips = two_tone_corpus
+        model = tiny_model(2, seed=8)
+        model.param_owners()[-1].params["bias"][:] = [np.inf, 0.0]
+        with pytest.raises(TrainingError,
+                           match=r"^non-finite logits: .* at epoch 0 batch 0$"):
+            train(model, split_all_train(samples), IDS_VS_ADS, quick_config(), clips)
+
+    def test_non_finite_gradient_reports_parameter_epoch_and_batch(self, two_tone_corpus,
+                                                                   monkeypatch):
+        samples, clips = two_tone_corpus
+        model = tiny_model(2, seed=8)
+        backward = model.backward
+
+        def nan_grads(tape, upstream):
+            return [np.full_like(g, np.nan) for g in backward(tape, upstream)]
+
+        monkeypatch.setattr(model, "backward", nan_grads)
+        first = model.parameter_names()[0]
+        with pytest.raises(TrainingError, match=rf"^non-finite gradient in {first} "
+                                                r"at epoch 0 batch 0$"):
+            train(model, split_all_train(samples), IDS_VS_ADS, quick_config(), clips)
+
     def test_empty_training_set_rejected(self, two_tone_corpus):
         samples, clips = two_tone_corpus
         with pytest.raises(TrainingError, match="empty"):
@@ -256,9 +279,11 @@ class TestLofoSweep:
 @pytest.mark.parametrize("overrides", [
     {"max_epochs": 0}, {"batch_size": 0}, {"threads": -3}, {"lr": 0.0},
     {"lr": float("inf")}, {"lam": float("nan")}, {"lam": -1e-4}, {"test_fraction": 0.0},
-    {"test_fraction": 1.0},
+    {"test_fraction": 1.0}, {"converge_rel": -0.1}, {"converge_rel": float("nan")},
+    {"converge_patience": 0},
 ], ids=["epochs-0", "batch-0", "threads-neg", "lr-0", "lr-inf", "lam-nan", "lam-neg",
-        "test-fraction-0", "test-fraction-1"])
+        "test-fraction-0", "test-fraction-1", "converge-rel-neg", "converge-rel-nan",
+        "converge-patience-0"])
 def test_validate_names_the_setting_out_of_range(overrides):
     from wavecnn.train import ConfigError
     with pytest.raises(ConfigError, match=next(iter(overrides))):
