@@ -2,7 +2,7 @@
 """Follow one recording through the ingestion pipeline.
 
 Writes a 2.7-second 16 kHz WAV, then: decode -> anti-alias + resample to
-8 kHz -> cut into 1-second clips -> standardize -> cache as raw float32.
+8 kHz -> cut into standardized 1-second clips -> cache as raw float32.
 """
 
 import tempfile
@@ -28,18 +28,18 @@ resampled = audio.resample_to_8k(samples, rate)
 print(f"resampled: {len(resampled)} samples at 8000 Hz "
       f"(= round({len(samples)} * 8000 / {rate}))")
 
-clips = audio.extract_clips(resampled, [(0.0, len(resampled) / 8000)],
-                            source_path=str(source))
+clips = audio.wav_clips(samples, rate, source=str(source))
 print(f"clips: {len(clips)} x 8000 samples "
       f"(2.7 s -> two full seconds + 0.7 s remainder kept and zero-padded)")
 
-for clip in clips:
-    z = audio.standardize(clip)
-    cached = audio.write_clip_cache(work / "cache", z)
-    mean = z.samples.mean(dtype=np.float64)
-    std = z.samples.std(dtype=np.float64)
-    print(f"  offset {clip.source_offset_s:3.1f} s: mean {mean:+.2e}, "
+cache = work / "cache"
+cache.mkdir()
+for offset_s, clip in clips:
+    cached = audio.write_clip_cache(cache, str(source), offset_s, clip)
+    mean = clip.mean(dtype=np.float64)
+    std = clip.std(dtype=np.float64)
+    print(f"  offset {offset_s:3.1f} s: mean {mean:+.2e}, "
           f"std {std:.4f} -> {cached.name}")
 
-back = audio.read_clip_cache(sorted((work / 'cache').glob('*.f32'))[0])
+back = audio.read_clip_cache(sorted(cache.glob('*.f32'))[0])
 print(f"cache round-trip ok: {back.shape == (8000,)}")

@@ -1,4 +1,4 @@
-"""WAV ingestion: decode, resample to 8 kHz, cut 1-second clips, standardize.
+"""WAV ingestion: decode, resample to 8 kHz, cut standardized 1-second clips.
 
 Supported input: RIFF/WAVE containers with PCM 8/16/24-bit or IEEE float32
 payloads, mono or stereo.  Everything downstream of :func:`load_wav` works on
@@ -7,15 +7,16 @@ A float payload or cache file holding NaN or inf raises WavFormatError, as
 does a WAV whose header or payload cannot be decoded: a zero sample rate, a
 16-bit or float32 payload that ends inside a sample, or no complete sample.
 
-The clip cache stores one file per standardized clip: 8000 raw little-endian
-float32 values, named ``<sha1 of "source@offset">.f32``.
+A recording becomes a list of ``(offset_s, samples)`` pairs: each pair is
+one standardized 1-second clip and its start in the 8 kHz signal.  The clip
+cache stores one file per clip: 8000 raw little-endian float32 values, named
+``<sha1 of "source@offset">.f32``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +25,11 @@ SAMPLE_RATE = 8000
 CLIP_SAMPLES = 8000
 ANTI_ALIAS_CUTOFF_HZ = 3600.0
 ANTI_ALIAS_TAPS = 65  # odd tap count gives an integer group delay
-MIN_KEEP_FRACTION = 0.5  # trailing remainder >= 0.5 s is kept and zero-padded
+MIN_KEEP_SAMPLES = 4000  # a trailing remainder of >= 0.5 s is kept and zero-padded
 
 
 class WavFormatError(ValueError):
     """Malformed or unsupported WAV input."""
-
-
-@dataclass
-class AudioClip:
-    """One standardized 1-second clip plus provenance."""
-
-    samples: np.ndarray          # exactly 8000 float32 values
-    source_path: str = ""
-    source_offset_s: float = 0.0
-
-    def __post_init__(self):
-        if self.samples.shape != (CLIP_SAMPLES,):
-            raise WavFormatError(f"clip must hold {CLIP_SAMPLES} samples, "
-                                 f"got shape {self.samples.shape}")
 
 
 # -- RIFF/WAVE decode and encode ---------------------------------------------
@@ -149,35 +136,7 @@ def resample_to_8k(samples: np.ndarray, rate: int, source="") -> np.ndarray:
     return np.interp(positions, np.arange(len(samples)), filtered)
 
 
-# -- clip extraction and standardization --------------------------------------
-
-def extract_clips(samples_8k: np.ndarray, segments, source_path: str = "") -> list[AudioClip]:
-    """Tile each (start_s, end_s) segment into consecutive 1-second clips.
-
-    A trailing remainder of at least 0.5 s is zero-padded to a full second;
-    shorter remainders are dropped.
-    """
-    total_s = len(samples_8k) / SAMPLE_RATE
-    clips = []
-    for start_s, end_s in segments:
-        if start_s < 0 or end_s > total_s or start_s >= end_s:
-            raise WavFormatError(f"segment ({start_s}, {end_s}) outside signal "
-                                 f"of {total_s:.3f} s")
-        begin = int(round(start_s * SAMPLE_RATE))
-        end = int(round(end_s * SAMPLE_RATE))
-        pos = begin
-        while pos + CLIP_SAMPLES <= end:
-            window = samples_8k[pos:pos + CLIP_SAMPLES]
-            clips.append(AudioClip(np.asarray(window, dtype=np.float32).copy(),
-                                   source_path, pos / SAMPLE_RATE))
-            pos += CLIP_SAMPLES
-        remainder = end - pos
-        if remainder >= CLIP_SAMPLES * MIN_KEEP_FRACTION:
-            window = np.zeros(CLIP_SAMPLES, dtype=np.float32)
-            window[:remainder] = samples_8k[pos:end]
-            clips.append(AudioClip(window, source_path, pos / SAMPLE_RATE))
-    return clips
-
+# -- standardization and clip cache -------------------------------------------
 
 def standardize_samples(samples: np.ndarray) -> np.ndarray:
     """(x - mean) / max(std, 1e-8) with population std; float32 output.
@@ -190,23 +149,15 @@ def standardize_samples(samples: np.ndarray) -> np.ndarray:
     return ((x - mean) / max(std, 1e-8)).astype(np.float32)
 
 
-def standardize(clip: AudioClip) -> AudioClip:
-    return AudioClip(standardize_samples(clip.samples),
-                     clip.source_path, clip.source_offset_s)
-
-
-# -- clip cache ----------------------------------------------------------------
-
 def clip_cache_name(source_path: str, offset_s: float) -> str:
     key = f"{source_path}@{offset_s:.3f}".encode()
     return hashlib.sha1(key).hexdigest() + ".f32"
 
 
-def write_clip_cache(cache_dir, clip: AudioClip) -> Path:
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / clip_cache_name(clip.source_path, clip.source_offset_s)
-    path.write_bytes(clip.samples.astype("<f4", copy=False).tobytes())
+def write_clip_cache(cache_dir, source: str, offset_s: float, samples: np.ndarray) -> Path:
+    """Write one clip into an existing cache directory; returns its path."""
+    path = Path(cache_dir) / clip_cache_name(source, offset_s)
+    path.write_bytes(samples.astype("<f4", copy=False).tobytes())
     return path
 
 
@@ -221,16 +172,24 @@ def read_clip_cache(path) -> np.ndarray:
     return samples
 
 
-def wav_clips(samples: np.ndarray, rate: int, source="") -> list[AudioClip]:
+def wav_clips(samples: np.ndarray, rate: int, source) -> list[tuple[float, np.ndarray]]:
     """Resample a decoded WAV to 8 kHz and tile all of it into standardized
-    1-second clips; a signal under 0.5 s raises WavFormatError."""
-    samples_8k = resample_to_8k(samples, rate, source=source)
-    seconds = len(samples_8k) / SAMPLE_RATE
-    if len(samples_8k) < CLIP_SAMPLES * MIN_KEEP_FRACTION:
-        raise WavFormatError(f"{source}: {seconds:.2f} s of audio is too short "
-                             f"for a 1-second clip")
-    clips = extract_clips(samples_8k, [(0.0, seconds)], source_path=str(source))
-    return [standardize(clip) for clip in clips]
+    1-second clips, as ``(offset_s, float32[8000])`` pairs.
+
+    A trailing remainder of at least 0.5 s is zero-padded to a full second;
+    a shorter one is dropped, and a signal under 0.5 s raises WavFormatError.
+    """
+    x = resample_to_8k(samples, rate, source=source)
+    clips = []
+    for pos in range(0, len(x) - MIN_KEEP_SAMPLES + 1, CLIP_SAMPLES):
+        piece = x[pos:pos + CLIP_SAMPLES]
+        window = np.zeros(CLIP_SAMPLES, dtype=np.float32)
+        window[:len(piece)] = piece
+        clips.append((pos / SAMPLE_RATE, standardize_samples(window)))
+    if not clips:
+        raise WavFormatError(f"{source}: {len(x) / SAMPLE_RATE:.2f} s of audio is "
+                             f"too short for a 1-second clip")
+    return clips
 
 
 def load_clip(path) -> np.ndarray:
@@ -240,4 +199,4 @@ def load_clip(path) -> np.ndarray:
     if path.suffix == ".f32":
         return read_clip_cache(path)
     samples, rate, _ = load_wav(path)
-    return wav_clips(samples, rate, source=path)[0].samples
+    return wav_clips(samples, rate, source=path)[0][1]

@@ -20,12 +20,13 @@ from pathlib import Path
 from typing import get_type_hints
 
 from . import audio, synth
-from .data import (get_task, make_split, parse_manifest, read_utf8_lines,
-                   write_manifest)
+from .data import (TaskSpec, get_task, make_split, parse_manifest,
+                   read_utf8_lines, write_manifest)
 from .gradcheck import TOLERANCE, run_full_check
 from .layers import softmax
 from .model import VARIANTS, build_model, load_weights, save_weights
-from .train import TrainConfig, TrainingError, evaluate, load_clips, train
+from .train import (ConfigError, TrainConfig, TrainingError, evaluate,
+                    load_clips, train)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -68,8 +69,8 @@ def read_config_file(path) -> dict:
 
 def resolve_train_config(args) -> tuple[TrainConfig, dict]:
     """Merge the settings, later sources winning: TrainConfig's defaults,
-    WAVENET_THREADS, the --config file, the flags.  Returns the validated
-    config and the ``manifest``/``out`` paths."""
+    WAVENET_THREADS, the --config file, the flags.  Returns the config, not
+    yet validated, and the ``manifest``/``out`` paths."""
     values = {}
     if env := os.environ.get("WAVENET_THREADS"):
         values["threads"] = _typed("threads", env, "WAVENET_THREADS")
@@ -78,9 +79,7 @@ def resolve_train_config(args) -> tuple[TrainConfig, dict]:
     values.update((key, value) for key, value in vars(args).items()
                   if key in _CONFIG_KEYS and value is not None)
     paths = {key: values.pop(key) for key in ("manifest", "out") if key in values}
-    config = TrainConfig(**values)
-    config.validate()
-    return config, paths
+    return TrainConfig(**values), paths
 
 
 def _require_manifest(path) -> Path:
@@ -102,10 +101,23 @@ def _run_dir(out, config: TrainConfig) -> Path:
     return run
 
 
-def _write_resolved(run_dir: Path, config: TrainConfig, extras: dict) -> None:
+def _write_resolved(run_dir: Path, config: TrainConfig, manifest: Path,
+                    *comments: str) -> None:
+    """Write every setting and the manifest as a file ``--config`` reads
+    back; ``comments`` become '#' lines, which it skips."""
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(TrainConfig)]
-    lines += [f"{k}={v}" for k, v in sorted(extras.items())]
+    lines.append(f"manifest={manifest.resolve()}")
+    lines += [f"# {comment}" for comment in comments]
     (run_dir / "config.resolved").write_text("\n".join(lines) + "\n")
+
+
+def _task_for(model, name: str) -> TaskSpec:
+    """The named task, which must have as many classes as ``model``."""
+    task = get_task(name)
+    if task.num_classes != model.config.num_classes:
+        raise CliError(f"weights were trained for {model.config.num_classes} "
+                       f"classes but task {task.name} has {task.num_classes}")
+    return task
 
 
 # -- commands --------------------------------------------------------------------
@@ -120,8 +132,8 @@ def cmd_prepare(args) -> int:
     for sample in samples:
         try:
             raw, rate, _ = audio.load_wav(sample.clip_path)
-            for clip in audio.wav_clips(raw, rate, source=sample.clip_path):
-                cached = audio.write_clip_cache(out_dir, clip)
+            for offset_s, clip in audio.wav_clips(raw, rate, source=sample.clip_path):
+                cached = audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip)
                 rows.append((cached.name, sample.raw_label, sample.age_months,
                              sample.family_id))
         except (audio.WavFormatError, OSError) as err:
@@ -135,6 +147,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     config, paths = resolve_train_config(args)
+    config.validate()
     manifest = _require_manifest(paths.get("manifest"))
     samples = parse_manifest(manifest)
     task = get_task(config.task)
@@ -148,7 +161,7 @@ def cmd_train(args) -> int:
                         dense_head=config.dense_head)
     clips = load_clips(task.filter(samples))
     run_dir = _run_dir(paths.get("out"), config)
-    _write_resolved(run_dir, config, {"manifest": str(manifest.resolve())})
+    _write_resolved(run_dir, config, manifest)
     history, stop_reason = train(model, split, task, config, clips)
     with open(run_dir / "run_log.jsonl", "w") as log:
         for stats in history:
@@ -167,21 +180,19 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config, paths = resolve_train_config(args)
+    if config.threads < 1:  # the one setting eval reads besides the task
+        raise ConfigError(f"threads must be >= 1, got {config.threads}")
     manifest = _require_manifest(paths.get("manifest"))
     model = load_weights(args.weights)
     config.variant, config.dense_head = model.config.variant, model.config.dense_head
-    task = get_task(config.task)
-    if task.num_classes != model.config.num_classes:
-        raise CliError(f"weights were trained for {model.config.num_classes} "
-                       f"classes but task {task.name} has {task.num_classes}")
+    task = _task_for(model, config.task)
     samples = task.filter(parse_manifest(manifest))
     if not samples:
         raise CliError(f"no samples participate in task {task.name}")
     report = evaluate(model, samples, task, threads=config.threads)
     if paths.get("out"):
         run_dir = _run_dir(paths["out"], config)
-        _write_resolved(run_dir, config, {"manifest": str(manifest.resolve()),
-                                          "weights": str(args.weights)})
+        _write_resolved(run_dir, config, manifest, f"weights={args.weights}")
         (run_dir / "report.json").write_text(report.to_json() + "\n")
         (run_dir / "report.csv").write_text(report.to_csv())
     print(report.to_json())
@@ -190,13 +201,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_weights(args.weights)
+    names = _task_for(model, args.task).class_names if args.task else None
     clip = audio.load_clip(args.wav)
     probs = softmax(model.forward(clip))
-    names = None
-    if args.task:
-        task = get_task(args.task)
-        if task.num_classes == model.config.num_classes:
-            names = task.class_names
     for i, p in enumerate(probs):
         label = names[i] if names else f"class_{i}"
         print(f"{label}\t{p:.6f}")
@@ -317,11 +324,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, FloatingPointError, TrainingError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (CliError, ValueError, KeyError, OSError, FloatingPointError,
+            TrainingError) as err:
+        # str() of a KeyError is the repr of its message
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

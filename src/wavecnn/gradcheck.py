@@ -1,6 +1,6 @@
 """Finite-difference verification of every backward pass.
 
-Checks run in float64 with central differences (default step 1e-5).  For a
+Checks run in float64 with central differences at step STEP = 1e-5.  For a
 layer f and a fixed random upstream U, the scalar s(theta) = sum(U * f(theta))
 has analytic gradient given by backward(tape, U); each parameter and the
 input are perturbed elementwise and compared.
@@ -31,23 +31,22 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _numeric_grad(scalar_fn, arr: np.ndarray, step: float = STEP) -> np.ndarray:
+def _numeric_grad(scalar_fn, arr: np.ndarray) -> np.ndarray:
     grad = np.zeros_like(arr)
     flat = arr.ravel()
     gflat = grad.ravel()
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + STEP
         hi = scalar_fn()
-        flat[i] = orig - step
+        flat[i] = orig - STEP
         lo = scalar_fn()
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
+        gflat[i] = (hi - lo) / (2.0 * STEP)
     return grad
 
 
-def check_layer(layer, x: np.ndarray, rng: np.random.Generator,
-                step: float = STEP) -> dict[str, float]:
+def check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> dict[str, float]:
     """Compare analytic and numeric gradients for one layer instance.
 
     Returns max relative error keyed by 'dx' and each parameter name.
@@ -59,11 +58,11 @@ def check_layer(layer, x: np.ndarray, rng: np.random.Generator,
 
     _, tape = layer.forward(x, cache=True)
     dx, grads = layer.backward(tape, upstream)
-    errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x, step))}
+    errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x))}
     slots = [(owner, role) for owner in layer.param_owners() for role in ("weight", "bias")]
     for (owner, role), grad in zip(slots, grads):
         errors[f"{owner.name}.{role}"] = max_rel_error(
-            grad, _numeric_grad(scalar, owner.params[role], step))
+            grad, _numeric_grad(scalar, owner.params[role]))
     return errors
 
 
@@ -105,17 +104,17 @@ def _tiny_inception(rng, dtype):
     return InceptionNucleus([b1, b2])
 
 
-def check_all_layers(seed: int = 0, step: float = STEP) -> dict[str, float]:
+def check_all_layers(seed: int = 0) -> dict[str, float]:
     """Max relative error per layer kind on small randomized instances."""
     rng = np.random.default_rng(seed)
     results = {}
     for kind, (layer, x) in _tiny_layers(rng).items():
-        errors = check_layer(layer, x, rng, step)
+        errors = check_layer(layer, x, rng)
         results[kind] = max(errors.values())
     return results
 
 
-def check_end_to_end(seed: int = 0, step: float = STEP) -> float:
+def check_end_to_end(seed: int = 0) -> float:
     """Gradient of the full loss through a reduced conv-relu-conv-head model."""
     rng = np.random.default_rng(seed)
     specs = [
@@ -139,12 +138,12 @@ def check_end_to_end(seed: int = 0, step: float = STEP) -> float:
     analytic = model.backward(tape, dlogits)
     worst = 0.0
     for grad, param in zip(analytic, model.parameter_arrays()):
-        worst = max(worst, max_rel_error(grad, _numeric_grad(scalar, param, step)))
+        worst = max(worst, max_rel_error(grad, _numeric_grad(scalar, param)))
     return worst
 
 
-def run_full_check(seed: int = 0, step: float = STEP) -> dict[str, float]:
+def run_full_check(seed: int = 0) -> dict[str, float]:
     """Per-layer table plus the reduced end-to-end model, as one dict."""
-    results = check_all_layers(seed, step)
-    results["end_to_end"] = check_end_to_end(seed, step)
+    results = check_all_layers(seed)
+    results["end_to_end"] = check_end_to_end(seed)
     return results

@@ -59,12 +59,12 @@ class WeightsFormatError(ValueError):
     """A weights file is malformed or does not fit the architecture it names."""
 
 
-def _conv1d(ch, k, s, padding=SAME):
-    return LayerSpec("conv1d", channels=ch, kernel=(k,), stride=(s,), padding=padding)
+def _conv1d(ch, k, s):
+    return LayerSpec("conv1d", channels=ch, kernel=(k,), stride=(s,), padding=SAME)
 
 
-def _conv2d(ch, k, s, padding=SAME):
-    return LayerSpec("conv2d", channels=ch, kernel=(k, k), stride=(s, s), padding=padding)
+def _conv2d(ch, k, s):
+    return LayerSpec("conv2d", channels=ch, kernel=(k, k), stride=(s, s), padding=SAME)
 
 
 def _relu():
@@ -304,6 +304,11 @@ _ROLE_NAMES = {v: k for k, v in _ROLES.items()}
 
 
 def save_weights(model: Model, path) -> None:
+    """Write ``model`` as a WVNC1 file.  A non-finite parameter raises
+    ValueError naming the file and ``<owner>.<role>``; no file is opened."""
+    for name, arr in zip(model.parameter_names(), model.parameter_arrays()):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: non-finite values in {name}; not written")
     variant_tag = VARIANTS.index(model.config.variant) + (2 if model.config.dense_head else 0)
     owners = model.param_owners()
     with open(path, "wb") as fh:
@@ -317,7 +322,7 @@ def save_weights(model: Model, path) -> None:
                 fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
-def load_weights(path, dtype=DTYPE) -> Model:
+def load_weights(path) -> Model:
     """Build the architecture the file names, drawing no weights, and fill
     every parameter from its records.
 
@@ -350,7 +355,7 @@ def load_weights(path, dtype=DTYPE) -> Model:
         raise bad(f"class count {num_classes} is below 2 or more than "
                   f"the file's values can hold")
     model = build_model(VARIANTS[variant_tag % 2], num_classes, seed=None,
-                        dense_head=variant_tag >= 2, dtype=dtype)
+                        dense_head=variant_tag >= 2)
     owners = model.param_owners()
     if len(owners) != owner_count:
         raise bad(f"file declares {owner_count} parameter owners, "

@@ -6,6 +6,12 @@ import numpy as np
 
 from .tensor import DTYPE
 
+# Adam's decay rates and denominator floor: the published defaults of
+# Kingma & Ba, "Adam: A Method for Stochastic Optimization" (ICLR 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class NonFiniteGradient(FloatingPointError):
     """A gradient contained NaN or inf; the batch must be aborted."""
@@ -29,16 +35,13 @@ class Adam:
     """Adam with bias correction; one shared step counter for all tensors.
 
     update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
-    param <- param - lr * m_hat / (sqrt(v_hat) + eps), updated in place.
+    param <- param - lr * m_hat / (sqrt(v_hat) + eps), updated in place,
+    with b1, b2 and eps fixed at BETA1, BETA2 and EPS.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float = 0.001):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -51,14 +54,14 @@ class Adam:
                 name = names[i] if names else f"parameter {i}"
                 raise NonFiniteGradient(f"non-finite gradient in {name}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= (self.lr / c1) * m / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p -= (self.lr / c1) * m / (np.sqrt(v / c2) + EPS)
 
 
 def l2_penalty(weights: list[np.ndarray], lam: float):

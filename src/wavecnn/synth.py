@@ -19,6 +19,8 @@ from .audio import CLIP_SAMPLES, SAMPLE_RATE, write_wav
 from .data import AGES_MONTHS, RAW_LABELS, write_manifest
 
 NYQUIST_HZ = SAMPLE_RATE / 2
+FAMILY_COLORATION = 0.4  # first-order filter coefficients are drawn from +-this
+PEAK = 0.9               # post-normalization waveform peak
 
 
 @dataclass
@@ -26,13 +28,9 @@ class SynthSpec:
     num_classes: int = 3
     clips_per_class: int = 50
     carrier_bands_hz: list[tuple[float, float]] = field(default_factory=list)
-    am_bands_hz: list[tuple[float, float]] = field(default_factory=list)
     noise_floor: float = 0.1          # noise amplitude relative to the unit tone
     families: int = 3
-    family_coloration: float = 0.4    # first-order filter coefficient range
-    ages: tuple[int, ...] = AGES_MONTHS
     seed: int = 0
-    peak: float = 0.9                 # post-normalization waveform peak
 
     def __post_init__(self):
         if self.num_classes < 1 or self.clips_per_class < 1:
@@ -42,9 +40,6 @@ class SynthSpec:
         if not self.carrier_bands_hz:
             centers = np.linspace(400.0, 3200.0, self.num_classes)
             self.carrier_bands_hz = [(c - 100.0, c + 100.0) for c in centers]
-        if not self.am_bands_hz:
-            rates = np.linspace(2.0, 12.0, self.num_classes)
-            self.am_bands_hz = [(r - 0.5, r + 0.5) for r in rates]
         for lo, hi in self.carrier_bands_hz:
             if not 0.0 < lo < hi < NYQUIST_HZ:
                 raise ValueError(f"carrier band ({lo}, {hi}) outside (0, {NYQUIST_HZ}) Hz")
@@ -52,12 +47,15 @@ class SynthSpec:
 
 def synth_clip(spec: SynthSpec, cls: int, family_coeff: float,
                rng: np.random.Generator) -> np.ndarray:
-    """One second of AM tone + noise for the given class, family-colored."""
+    """One second of AM tone + noise for the given class, family-colored.
+
+    The AM rate is drawn within 0.5 Hz of the class's point on a 2-12 Hz grid.
+    """
     t = np.arange(CLIP_SAMPLES) / SAMPLE_RATE
     lo, hi = spec.carrier_bands_hz[cls]
     carrier_hz = rng.uniform(lo, hi)
-    am_lo, am_hi = spec.am_bands_hz[cls]
-    am_hz = rng.uniform(am_lo, am_hi)
+    am_rate = np.linspace(2.0, 12.0, spec.num_classes)[cls]
+    am_hz = rng.uniform(am_rate - 0.5, am_rate + 0.5)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
     tone = np.sin(2.0 * np.pi * carrier_hz * t + phase)
@@ -65,7 +63,7 @@ def synth_clip(spec: SynthSpec, cls: int, family_coeff: float,
     x = tone + spec.noise_floor * rng.standard_normal(CLIP_SAMPLES)
     colored = x.copy()
     colored[1:] += family_coeff * x[:-1]
-    return colored * (spec.peak / np.max(np.abs(colored)))
+    return colored * (PEAK / np.max(np.abs(colored)))
 
 
 def generate(spec: SynthSpec, out_dir) -> Path:
@@ -77,14 +75,14 @@ def generate(spec: SynthSpec, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(spec.seed)
-    family_coeffs = rng.uniform(-spec.family_coloration, spec.family_coloration,
+    family_coeffs = rng.uniform(-FAMILY_COLORATION, FAMILY_COLORATION,
                                 size=spec.families)
     rows = []
     for cls in range(spec.num_classes):
         label = RAW_LABELS[cls % len(RAW_LABELS)]
         for i in range(spec.clips_per_class):
             family = int(rng.integers(spec.families))
-            age = int(spec.ages[rng.integers(len(spec.ages))])
+            age = int(AGES_MONTHS[rng.integers(len(AGES_MONTHS))])
             clip = synth_clip(spec, cls, family_coeffs[family], rng)
             name = f"class{cls}_{i:04d}.wav"
             write_wav(out_dir / name, clip, SAMPLE_RATE)

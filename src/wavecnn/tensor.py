@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Tensor = np.ndarray
-
 DTYPE = np.float32        # training precision
 CHECK_DTYPE = np.float64  # finite-difference precision
 

@@ -6,10 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import float32_wav_bytes
-from wavecnn.audio import (CLIP_SAMPLES, SAMPLE_RATE, AudioClip, WavFormatError,
-                           clip_cache_name, extract_clips, load_clip, load_wav,
-                           read_clip_cache, resample_to_8k, standardize,
-                           standardize_samples, write_clip_cache, write_wav)
+from wavecnn.audio import (CLIP_SAMPLES, SAMPLE_RATE, WavFormatError, clip_cache_name,
+                           load_clip, load_wav, read_clip_cache, resample_to_8k,
+                           standardize_samples, wav_clips, write_clip_cache, write_wav)
 
 
 def pcm16_wav_bytes(values, rate=8000, channels=1):
@@ -124,30 +123,33 @@ class TestResample:
 
 
 class TestExtractClips:
+    """wav_clips tiles a whole 8 kHz signal into (offset_s, clip) pairs."""
+
     def test_two_second_segment_yields_two_clips(self):
-        clips = extract_clips(np.ones(3 * SAMPLE_RATE), [(0.0, 2.0)])
+        clips = wav_clips(np.ones(2 * SAMPLE_RATE), SAMPLE_RATE, "x.wav")
         assert len(clips) == 2
-        assert all(c.samples.shape == (CLIP_SAMPLES,) for c in clips)
+        assert all(c.shape == (CLIP_SAMPLES,) and c.dtype == np.float32
+                   for _, c in clips)
 
     def test_short_remainder_dropped(self):
-        clips = extract_clips(np.ones(2 * SAMPLE_RATE), [(0.0, 1.4)])
+        clips = wav_clips(np.ones(int(1.4 * SAMPLE_RATE)), SAMPLE_RATE, "x.wav")
         assert len(clips) == 1
 
     def test_long_remainder_zero_padded(self):
-        clips = extract_clips(np.ones(2 * SAMPLE_RATE), [(0.0, 1.6)])
+        x = np.random.default_rng(6).standard_normal(int(1.6 * SAMPLE_RATE))
+        clips = wav_clips(x, SAMPLE_RATE, "x.wav")
         assert len(clips) == 2
-        tail = clips[1].samples
-        assert not tail[-3200:].any()
-        assert tail[:4800].all()
+        padded = np.zeros(CLIP_SAMPLES, dtype=np.float32)
+        padded[:4800] = x[CLIP_SAMPLES:]
+        npt.assert_array_equal(clips[1][1], standardize_samples(padded))
 
     def test_offsets_recorded(self):
-        clips = extract_clips(np.ones(3 * SAMPLE_RATE), [(0.5, 2.5)], source_path="x.wav")
-        assert [c.source_offset_s for c in clips] == [0.5, 1.5]
-        assert clips[0].source_path == "x.wav"
+        clips = wav_clips(np.ones(int(2.5 * SAMPLE_RATE)), SAMPLE_RATE, "x.wav")
+        assert [offset for offset, _ in clips] == [0.0, 1.0, 2.0]
 
-    def test_out_of_bounds_segment_rejected(self):
-        with pytest.raises(WavFormatError, match="outside signal"):
-            extract_clips(np.ones(SAMPLE_RATE), [(0.0, 2.0)])
+    def test_signal_under_half_a_second_rejected(self):
+        with pytest.raises(WavFormatError, match=r"^x\.wav: 0\.49 s of audio is too short"):
+            wav_clips(np.ones(3920), SAMPLE_RATE, "x.wav")
 
 
 class TestStandardize:
@@ -155,8 +157,7 @@ class TestStandardize:
         npt.assert_allclose(standardize_samples(np.array([1.0, 3.0])), [-1.0, 1.0])
 
     def test_constant_clip_becomes_zeros(self):
-        clip = AudioClip(np.full(CLIP_SAMPLES, 0.7, np.float32))
-        assert not standardize(clip).samples.any()
+        assert not standardize_samples(np.full(CLIP_SAMPLES, 0.7, np.float32)).any()
 
     def test_moments_after_standardization(self):
         rng = np.random.default_rng(2)
@@ -173,17 +174,19 @@ class TestStandardize:
         npt.assert_allclose(twice, once, atol=1e-5)
 
     def test_preserves_provenance(self):
-        clip = AudioClip(np.random.default_rng(4).standard_normal(CLIP_SAMPLES)
-                         .astype(np.float32), "src.wav", 2.0)
-        out = standardize(clip)
-        assert (out.source_path, out.source_offset_s) == ("src.wav", 2.0)
+        # each clip is standardized on its own and keeps its own offset
+        x = np.random.default_rng(4).standard_normal(3 * CLIP_SAMPLES)
+        x[CLIP_SAMPLES:] *= 5.0
+        for i, (offset, clip) in enumerate(wav_clips(x, SAMPLE_RATE, "src.wav")):
+            window = x[i * CLIP_SAMPLES:(i + 1) * CLIP_SAMPLES].astype(np.float32)
+            assert offset == float(i)
+            npt.assert_array_equal(clip, standardize_samples(window))
 
 
 class TestClipCache:
     def test_write_read_round_trip(self, tmp_path):
         samples = np.random.default_rng(5).standard_normal(CLIP_SAMPLES).astype(np.float32)
-        clip = AudioClip(samples, "rec.wav", 3.0)
-        path = write_clip_cache(tmp_path, clip)
+        path = write_clip_cache(tmp_path, "rec.wav", 3.0, samples)
         assert path.name == clip_cache_name("rec.wav", 3.0)
         assert path.suffix == ".f32"
         npt.assert_array_equal(read_clip_cache(path), samples)

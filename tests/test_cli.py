@@ -141,6 +141,35 @@ class TestPrepare:
         assert load_clip(wav).tobytes() == read_clip_cache(first).tobytes()
 
 
+    def test_mixed_rate_clips_are_pinned(self, tmp_path, monkeypatch):
+        # sha256 over the sorted (name, bytes) of the .f32 files: mixed rates
+        # and every remainder case, pinned from the clip cutter before wav_clips
+        monkeypatch.chdir(tmp_path)  # relative clip paths keep the names fixed
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(12)
+        rows = []
+        for i, (rate, seconds) in enumerate([(44100, 3.55), (22050, 1.49), (16000, 2.51),
+                                             (8000, 0.62), (8000, 2.0)]):
+            n = int(rate * seconds)
+            t = np.arange(n) / rate
+            write_wav(corpus / f"rec{i}.wav",
+                      0.3 * np.sin(2 * np.pi * (300 + 200 * i) * t)
+                      + 0.05 * rng.standard_normal(n), rate)
+            rows.append((f"rec{i}.wav", "canonical", 6, "F00"))
+        write_manifest(corpus / "manifest.csv", rows)
+        assert main(["prepare", "--manifest", "corpus/manifest.csv",
+                     "--out", "cache"]) == EXIT_OK
+        clips = sorted((tmp_path / "cache").glob("*.f32"))
+        assert len(clips) == 4 + 1 + 3 + 1 + 2
+        digest = hashlib.sha256()
+        for path in clips:
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "fcf8f3b2a15acd855b8369182a1a9f69f556f483e66fc1503fd94a022b1d866d"
+
+
 class TestTrain:
     def test_artifacts_written(self, cache, tmp_path):
         run = tmp_path / "run"
@@ -273,6 +302,64 @@ class TestEvalPredictParams:
                    "--manifest", str(cache / "manifest.csv"),
                    "--task", "five_class"])
         assert rc == EXIT_USAGE
+
+    def test_predict_class_count_mismatch(self, corpus, run_dir, capsys):
+        wav = parse_manifest(corpus[1])[0].clip_path
+        rc = main(["predict", "--weights", str(run_dir / "weights.bin"),
+                   "--wav", wav, "--task", "five_class"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: weights were trained for 2 classes "
+                                "but task five_class has 5\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_unknown_task_message(self, corpus, cache, run_dir, tmp_path, capsys,
+                                  command):
+        weights = ["--weights", str(run_dir / "weights.bin")]
+        args = {"train": train_args(cache, tmp_path / "run"),
+                "eval": ["eval", *weights, "--manifest", str(cache / "manifest.csv")],
+                "predict": ["predict", *weights,
+                            "--wav", parse_manifest(corpus[1])[0].clip_path]}[command]
+        assert main(args + ["--task", "bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: unknown task 'bogus'; known tasks: infant_vs_adult, ")
+
+    def test_eval_ignores_training_settings_it_does_not_read(self, cache, run_dir,
+                                                             tmp_path, capsys):
+        config = tmp_path / "ev.cfg"
+        config.write_text("max_epochs=0\nbatch_size=0\nlr=nan\ntest_fraction=2\n")
+        rc = main(["eval", "--weights", str(run_dir / "weights.bin"),
+                   "--manifest", str(cache / "manifest.csv"),
+                   "--task", "vocal_vs_nonvocal", "--config", str(config)])
+        assert rc == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["num_test"] == 20
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_eval_threads_zero_exits_2(self, cache, run_dir, tmp_path, monkeypatch,
+                                       capsys, source):
+        args = ["eval", "--weights", str(run_dir / "weights.bin"),
+                "--manifest", str(cache / "manifest.csv"),
+                "--task", "vocal_vs_nonvocal", "--out", str(tmp_path / "ev")]
+        if source == "flag":
+            args += ["--threads", "0"]
+        else:
+            monkeypatch.setenv("WAVENET_THREADS", "0")
+        assert main(args) == EXIT_USAGE
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_eval_config_resolved_reproduces_the_report(self, cache, run_dir, tmp_path):
+        weights = ["--weights", str(run_dir / "weights.bin")]
+        first, second = tmp_path / "ev1", tmp_path / "ev2"
+        assert main(["eval", *weights, "--manifest", str(cache / "manifest.csv"),
+                     "--task", "vocal_vs_nonvocal", "--out", str(first)]) == EXIT_OK
+        resolved = (first / "config.resolved").read_text().splitlines()
+        assert f"# weights={run_dir / 'weights.bin'}" in resolved
+        assert main(["eval", *weights, "--config", str(first / "config.resolved"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in ("report.json", "config.resolved"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_predict_probabilities_sum_to_one(self, corpus, run_dir, capsys):
         root, manifest = corpus

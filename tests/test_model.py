@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -389,6 +390,17 @@ class TestSerialization:
         assert loaded.state_bytes() == model.state_bytes()
         save_weights(loaded, tmp_path / "again.bin")
         assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameter_refused_before_any_file(self, tmp_path, bad):
+        model = build_model(WITHOUT_INCEPTION, 2, seed=1)
+        owner = model.param_owners()[2]
+        owner.params["bias"][1] = bad
+        path = tmp_path / "weights.bin"
+        cause = f"^{re.escape(str(path))}: non-finite values in {re.escape(owner.name)}.bias"
+        with pytest.raises(ValueError, match=cause):
+            save_weights(model, path)
+        assert not path.exists()
 
     def test_magic_header(self, tmp_path):
         model = build_model(WITHOUT_INCEPTION, 2)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,19 @@ class TestGenerate:
         samples = parse_manifest(manifest)
         assert len(samples) == 100
         assert {s.raw_label for s in samples} == {"laugh_cry", "canonical"}
+
+    def test_corpus_bytes_are_pinned(self, tmp_path):
+        # sha256 over the sorted (file name, bytes) of the whole corpus, pinned
+        # from the generator whose SynthSpec still carried its AM bands,
+        # family coloration, ages and peak as fields
+        generate(SynthSpec(num_classes=5, clips_per_class=3, families=3, seed=11),
+                 tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == \
+            "0bcddece720d5c3ac8ed9312375786d13e63b651369e35cee2b5642d8fc18a05"
 
     def test_same_seed_bit_identical_corpus(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
