@@ -10,21 +10,21 @@ Runtime: a couple of minutes on one CPU core.
 """
 
 import tempfile
-from pathlib import Path
 
 from wavecnn.data import get_task, make_split, parse_manifest
 from wavecnn.model import build_model
 from wavecnn.synth import SynthSpec, generate
 from wavecnn.train import TrainConfig, evaluate, load_clips, lofo_sweep, train
 
-out = Path(tempfile.mkdtemp(prefix="wavecnn_train_"))
-manifest = generate(SynthSpec(num_classes=2, clips_per_class=30, families=3,
-                              noise_floor=0.08, seed=1), out)
-samples = parse_manifest(manifest)
+with tempfile.TemporaryDirectory(prefix="wavecnn_train_") as out:
+    manifest = generate(SynthSpec(num_classes=2, clips_per_class=30, families=3,
+                                  noise_floor=0.08, seed=1), out)
+    samples = parse_manifest(manifest)
+    clips = load_clips(samples)  # every waveform is read before the corpus goes
+
 task = get_task("vocal_vs_nonvocal")  # the two synthetic labels split across its classes
 split = make_split(samples, task, seed=0, test_fraction=0.2)
-clips = load_clips(samples)
-print(f"{len(split.train)} train / {len(split.test)} test clips in {out}")
+print(f"{len(split.train)} train / {len(split.test)} test clips")
 
 config = TrainConfig(task=task.name, variant="without_inception", batch_size=8,
                      max_epochs=12, seed=0, lr=1e-3, lam=1e-4)

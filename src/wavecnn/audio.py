@@ -130,7 +130,8 @@ def resample_to_8k(samples: np.ndarray, rate: int, source="") -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if rate == SAMPLE_RATE:
         return samples.copy()
-    filtered = np.convolve(samples, _anti_alias_taps(rate), mode="same")
+    delay = (ANTI_ALIAS_TAPS - 1) // 2  # mode="same" gives max(N, taps) samples
+    filtered = np.convolve(samples, _anti_alias_taps(rate))[delay:delay + len(samples)]
     out_len = int(round(len(samples) * SAMPLE_RATE / rate))
     positions = np.arange(out_len) * (rate / SAMPLE_RATE)
     return np.interp(positions, np.arange(len(samples)), filtered)

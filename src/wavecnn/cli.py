@@ -37,32 +37,28 @@ _CONFIG_KEYS = set(_SETTING_TYPES) | {"manifest", "out"}
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-class CliError(Exception):
-    """Usage/config error; maps to exit code 2."""
-
-
 def _typed(key: str, text: str, where: str):
     """Convert a setting's text to its TrainConfig field type."""
     kind = _SETTING_TYPES.get(key, str)
     try:
         return _BOOLS[text.lower()] if kind is bool else kind(text)
     except (KeyError, ValueError):
-        raise CliError(f"{where}: bad value for {key}: {text!r}") from None
+        raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
 
 
 def read_config_file(path) -> dict:
     """Parse key=value lines into typed values; '#' starts a comment; unknown
     keys are errors."""
     values = {}
-    for lineno, line in enumerate(read_utf8_lines(path, CliError), start=1):
+    for lineno, line in enumerate(read_utf8_lines(path, ConfigError), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {text!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, value = (part.strip() for part in text.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = _typed(key, value, f"{path}:{lineno}")
     return values
 
@@ -84,10 +80,10 @@ def resolve_train_config(args) -> tuple[TrainConfig, dict]:
 
 def _require_manifest(path) -> Path:
     if path is None:
-        raise CliError("--manifest is required")
+        raise ConfigError("--manifest is required")
     manifest = Path(path)
     if not manifest.exists():
-        raise CliError(f"manifest not found: {manifest}")
+        raise ConfigError(f"manifest not found: {manifest}")
     return manifest
 
 
@@ -115,8 +111,8 @@ def _task_for(model, name: str) -> TaskSpec:
     """The named task, which must have as many classes as ``model``."""
     task = get_task(name)
     if task.num_classes != model.config.num_classes:
-        raise CliError(f"weights were trained for {model.config.num_classes} "
-                       f"classes but task {task.name} has {task.num_classes}")
+        raise ConfigError(f"weights were trained for {model.config.num_classes} "
+                          f"classes but task {task.name} has {task.num_classes}")
     return task
 
 
@@ -155,8 +151,8 @@ def cmd_train(args) -> int:
                        test_fraction=config.test_fraction)
     for part, members in (("training", split.train), ("test", split.test)):
         if not members:
-            raise CliError(f"the {config.split} split of task {task.name} leaves "
-                           f"the {part} set empty")
+            raise ConfigError(f"the {config.split} split of task {task.name} leaves "
+                              f"the {part} set empty")
     model = build_model(config.variant, task.num_classes, seed=config.seed,
                         dense_head=config.dense_head)
     clips = load_clips(task.filter(samples))
@@ -188,7 +184,7 @@ def cmd_eval(args) -> int:
     task = _task_for(model, config.task)
     samples = task.filter(parse_manifest(manifest))
     if not samples:
-        raise CliError(f"no samples participate in task {task.name}")
+        raise ConfigError(f"no samples participate in task {task.name}")
     report = evaluate(model, samples, task, threads=config.threads)
     if paths.get("out"):
         run_dir = _run_dir(paths["out"], config)
@@ -212,9 +208,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_params(args) -> int:
-    variant = args.variant or "with_inception"
-    model = build_model(variant, args.classes, seed=None, dense_head=args.dense_head)
-    print(f"variant: {variant}  classes: {args.classes}  "
+    model = build_model(args.variant, args.classes, seed=None, dense_head=args.dense_head)
+    print(f"variant: {args.variant}  classes: {args.classes}  "
           f"head: {'dense' if args.dense_head else 'conv+gap'}")
     for owner in model.param_owners():
         w, b = owner.params["weight"], owner.params["bias"]
@@ -226,12 +221,12 @@ def cmd_params(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     results = run_full_check(seed=args.seed)
-    wanted = None if args.layers in (None, "all") else set(args.layers.split(","))
+    wanted = None if args.layers == "all" else set(args.layers.split(","))
     if wanted:
         unknown = wanted - set(results)
         if unknown:
-            raise CliError(f"unknown layer kinds: {sorted(unknown)}; "
-                           f"known: {sorted(results)}")
+            raise ConfigError(f"unknown layer kinds: {sorted(unknown)}; "
+                              f"known: {sorted(results)}")
         results = {k: v for k, v in results.items() if k in wanted}
     worst = 0.0
     for kind, err in results.items():
@@ -247,7 +242,7 @@ def cmd_synth(args) -> int:
                            clips_per_class=args.clips_per_class,
                            families=args.families,
                            noise_floor=args.noise,
-                           seed=args.seed if args.seed is not None else 0)
+                           seed=args.seed)
     manifest = synth.generate(spec, args.out)
     print(f"wrote {spec.num_classes * spec.clips_per_class} clips and {manifest}")
     return EXIT_OK
@@ -324,7 +319,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, KeyError, OSError, FloatingPointError,
+    except (ValueError, KeyError, OSError, FloatingPointError,
             TrainingError) as err:
         # str() of a KeyError is the repr of its message
         message = err.args[0] if isinstance(err, KeyError) and err.args else err

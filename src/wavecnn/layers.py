@@ -18,12 +18,12 @@ Conventions, fixed package-wide:
   ``backward(tape, upstream)`` returns ``(dx, grads)``: the gradient w.r.t.
   the input and, for each owner in ``param_owners()``, its weight gradient
   then its bias gradient (``[]`` for a layer without parameters).
-- What a tape keeps: a convolution its flat padded input (stride-1 shift
-  path) or its im2col columns; ReLU a bool mask of ``out > 0``; a max-pool
-  the input shape and, per window, the index of the first position holding
-  the max, in the smallest unsigned dtype that fits (uint8 for every pool of
-  both architectures).  ReLU and the pools keep no reference to their float
-  input or output.
+- What a tape keeps, arrays and shapes only: a convolution its flat padded
+  input (shift path) or its im2col columns; ReLU a bool mask of ``out > 0``;
+  a max-pool the input shape and, per window, the index of the first
+  position holding the max, in the smallest unsigned dtype that fits (uint8
+  for every pool of both architectures).  ReLU and the pools keep no
+  reference to their float input or output.
 - Layers hold no per-call state: between construction and a change of
   ``params`` they are read-only, so any number of threads may run forwards
   and backwards on one layer at once, each with its own tapes.
@@ -158,16 +158,23 @@ def _cols_2d(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win.reshape(ch * kh * kw, nh * nw)
 
 
+def _offset_views(x: np.ndarray, kernel, stride, nh: int, nw: int) -> list[np.ndarray]:
+    """Per kernel offset (di, dj), row-major, the (C, nh, nw) view x[:, i*sh+di, j*sw+dj]."""
+    (kh, kw), (sh, sw) = kernel, stride
+    return [x[:, di:di + sh * (nh - 1) + 1:sh, dj:dj + sw * (nw - 1) + 1:sw]
+            for di in range(kh) for dj in range(kw)]
+
+
 class Conv2D(Layer):
     """Strided 2-D cross-correlation over (in_ch, H, W) maps.
 
-    Stride-1 convolutions with more than 64 input taps run as one GEMM per
-    kernel offset over the flattened padded image, which avoids
-    materializing im2col columns; each offset's GEMM accumulates straight
-    into the output (forward) or the input gradient (backward) inside BLAS,
-    through :func:`~wavecnn.blas.gemm_acc`.  The rest take the im2col path.
-    Every call allocates its own buffers, so a tape stays valid however many
-    other calls run before its backward, on this thread or another.
+    Stride-1 convolutions with more than 64 input taps (``shift``, fixed at
+    build) run as one GEMM per kernel offset over the flattened padded
+    image, which avoids materializing im2col columns; each offset's GEMM
+    accumulates straight into the output (forward) or the input gradient
+    (backward) inside BLAS, through :func:`~wavecnn.blas.gemm_acc`.  The
+    rest take the im2col path.  Every call allocates its own buffers, so a
+    tape stays valid however many other calls run before its backward.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
@@ -178,6 +185,9 @@ class Conv2D(Layer):
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.padding = kernel, stride, padding
         ksz = kernel[0] * kernel[1]
+        # shift-GEMM wants stride 1 and enough input channels per offset to
+        # keep the GEMMs off the rank-deficient memory-bound regime
+        self.shift = stride == (1, 1) and in_ch * ksz > 64
         self.params["weight"] = _init_weight(
             (out_ch, in_ch) + kernel, in_ch * ksz, out_ch * ksz, rng, dtype)
         self.params["bias"] = np.zeros(out_ch, dtype=dtype)
@@ -214,18 +224,15 @@ class Conv2D(Layer):
     # allocates anyway.
 
     def _forward(self, x, nh, nw):
-        # shift-GEMM wants stride 1 and enough input channels per offset to
-        # keep the GEMMs off the rank-deficient memory-bound regime
-        if self.stride == (1, 1) and self.in_ch * self.kernel[0] * self.kernel[1] > 64:
+        if self.shift:
             return self._forward_shift(x, nh, nw)
         return self._forward_cols(x, nh, nw)
 
     def _backward(self, tape, upstream):
-        mode, saved = tape
-        if mode == "shift":
-            dw, dx = self._backward_shift(upstream, saved)
+        if self.shift:
+            dw, dx = self._backward_shift(upstream, tape)
         else:
-            dw, dx = self._backward_cols(upstream, saved)
+            dw, dx = self._backward_cols(upstream, tape)
         return dx, [dw.reshape(self.params["weight"].shape), upstream.sum(axis=(1, 2))]
 
     # -- stride-1 path: one GEMM per kernel offset on the flat padded image --
@@ -250,10 +257,10 @@ class Conv2D(Layer):
                 gemm_acc(wk[di, dj], xf[:, off:off + span], acc[:, :span])
         out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw].copy()
         out += self.params["bias"][:, None, None]
-        return out, ("shift", (xf, x.shape, (hp, wp), pads, (nh, nw)))
+        return out, (xf, x.shape, (hp, wp), pads, (nh, nw))
 
-    def _backward_shift(self, upstream, saved):
-        xf, x_shape, (hp, wp), pads, (nh, nw) = saved
+    def _backward_shift(self, upstream, tape):
+        xf, x_shape, (hp, wp), pads, (nh, nw) = tape
         (kh, kw) = self.kernel
         grid = np.zeros((self.out_ch, nh * wp), dtype=upstream.dtype)
         grid.reshape(self.out_ch, nh, wp)[:, :, :nw] = upstream
@@ -279,23 +286,17 @@ class Conv2D(Layer):
         cols = _cols_2d(xp, kh, kw, sh, sw)
         out = self._weight().reshape(self.out_ch, -1) @ cols
         out += self.params["bias"][:, None]
-        return (out.reshape(self.out_ch, nh, nw),
-                ("cols", (cols, x.shape, xp.shape, pads, (nh, nw))))
+        return out.reshape(self.out_ch, nh, nw), (cols, x.shape, xp.shape, pads, (nh, nw))
 
-    def _backward_cols(self, upstream, saved):
-        cols, x_shape, xp_shape, pads, (nh, nw) = saved
-        (kh, kw), (sh, sw) = self.kernel, self.stride
+    def _backward_cols(self, upstream, tape):
+        cols, x_shape, xp_shape, pads, (nh, nw) = tape
         up_mat = upstream.reshape(self.out_ch, nh * nw)
         w_mat = self._weight().reshape(self.out_ch, -1)
         dw = up_mat @ cols.T
-        dcols = (w_mat.T @ up_mat).reshape(self.in_ch, kh, kw, nh, nw)
+        dcols = (w_mat.T @ up_mat).reshape(self.in_ch, -1, nh, nw)
         dxp = np.zeros(xp_shape, dtype=upstream.dtype)
-        for di in range(kh):
-            for dj in range(kw):
-                dxp[:, di:di + sh * (nh - 1) + 1:sh, dj:dj + sw * (nw - 1) + 1:sw] += \
-                    dcols[:, di, dj]
-        if xp_shape == x_shape:
-            return dw, dxp
+        for k, dst in enumerate(_offset_views(dxp, self.kernel, self.stride, nh, nw)):
+            dst += dcols[:, k]
         (pt, _), (pleft, _) = pads
         return dw, dxp[:, pt:pt + x_shape[1], pleft:pleft + x_shape[2]]
 
@@ -348,11 +349,6 @@ class MaxPool2D(Layer):
             raise ShapeError(f"{self.name}: extents {in_shape[1:]} < kernel {self.kernel}")
         return (in_shape[0], (in_shape[1] - kh) // sh + 1, (in_shape[2] - kw) // sw + 1)
 
-    def _window_slices(self, x, nh, nw):
-        (kh, kw), (sh, sw) = self.kernel, self.stride
-        return [x[:, di:di + sh * (nh - 1) + 1:sh, dj:dj + sw * (nw - 1) + 1:sw]
-                for di in range(kh) for dj in range(kw)]
-
     def forward(self, x, cache=False):
         _, nh, nw = self.out_shape(x.shape)
         out, tape = self._forward(x, nh, nw, cache)
@@ -364,7 +360,7 @@ class MaxPool2D(Layer):
     def _forward(self, x, nh, nw, cache):
         """(out, tape); the tape is None unless ``cache``, since building it
         costs a pass over every window."""
-        slices = self._window_slices(x, nh, nw)
+        slices = _offset_views(x, self.kernel, self.stride, nh, nw)
         out = slices[0].copy()
         for s in slices[1:]:
             np.maximum(out, s, out=out)
@@ -375,7 +371,7 @@ class MaxPool2D(Layer):
         dx = np.zeros(shape, dtype=upstream.dtype)
         hit = np.empty(first.shape, dtype=bool)
         # += keeps overlapping windows accumulating into a shared position
-        for k, dst in enumerate(self._window_slices(dx, nh, nw)):
+        for k, dst in enumerate(_offset_views(dx, self.kernel, self.stride, nh, nw)):
             np.equal(first, k, out=hit)
             dst += upstream * hit
         return dx

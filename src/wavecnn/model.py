@@ -214,10 +214,9 @@ class Model:
         return trace
 
 
-def _build_layer(spec: LayerSpec, in_shape, rng, dtype, idx, num_classes,
-                 prev_kind=None) -> Layer:
+def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, num_classes,
+                 prev_kind) -> Layer:
     kind = spec.kind
-    tag = f"layer{idx:02d}:{kind}"
     if kind == "conv1d":
         return Conv1D(in_shape[0], spec.channels, spec.kernel[0], spec.stride[0],
                       spec.padding, rng, dtype, name=tag)
@@ -241,19 +240,33 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, idx, num_classes,
     if kind == "class_head":
         return ClassHead(num_classes, name=tag)
     if kind == "inception_nucleus":
-        branches = []
-        for branch_specs in spec.branches:
-            branch, shape, prev = [], in_shape, None
-            for j, sub in enumerate(branch_specs):
-                sub_layer = _build_layer(sub, shape, rng, dtype,
-                                         idx, num_classes, prev)
-                sub_layer.name = f"{tag}.b{len(branches)}.{j}:{sub.kind}"
-                shape = sub_layer.out_shape(shape)
-                branch.append(sub_layer)
-                prev = sub.kind
-            branches.append(branch)
-        return InceptionNucleus(branches, name=tag)
+        return InceptionNucleus(
+            [_build_chain(branch, in_shape, rng, dtype, num_classes, f"{tag}.b{b}")
+             for b, branch in enumerate(spec.branches)], name=tag)
     raise ShapeError(f"unknown layer kind {kind!r}")
+
+
+def _build_chain(specs: list[LayerSpec], shape, rng, dtype, num_classes,
+                 branch: str | None = None) -> list[Layer]:
+    """Build ``specs`` as one chain fed ``shape``.
+
+    A ShapeError gains the failing layer's index and kind.  A top-level
+    layer (``branch`` None) is tagged ``layerNN:kind``; every layer of a
+    nucleus branch is named ``<branch>.<j>:kind``.
+    """
+    layers = []
+    for j, spec in enumerate(specs):
+        tag = f"layer{j:02d}:{spec.kind}" if branch is None else f"{branch}.{j}:{spec.kind}"
+        try:
+            lyr = _build_layer(spec, shape, rng, dtype, tag, num_classes,
+                               specs[j - 1].kind if j else None)
+            shape = lyr.out_shape(shape)
+        except ShapeError as err:
+            raise ShapeError(f"layer {j} ({spec.kind}): {err}") from err
+        if branch is not None:
+            lyr.name = tag
+        layers.append(lyr)
+    return layers
 
 
 def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
@@ -268,18 +281,7 @@ def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
         raise ShapeError(f"need at least 2 classes, got {num_classes}")
     rng = None if seed is None else np.random.default_rng(seed)
     config = ModelConfig(specs, num_classes, variant, dense_head, input_samples, seed)
-    layers: list[Layer] = []
-    shape = (1, input_samples)
-    prev_kind = None
-    for i, spec in enumerate(specs):
-        try:
-            lyr = _build_layer(spec, shape, rng, dtype, i, num_classes, prev_kind)
-            shape = lyr.out_shape(shape)
-        except ShapeError as err:
-            raise ShapeError(f"layer {i} ({spec.kind}): {err}") from err
-        layers.append(lyr)
-        prev_kind = spec.kind
-    model = Model(config, layers)
+    model = Model(config, _build_chain(specs, (1, input_samples), rng, dtype, num_classes))
     model.trace_shapes()  # also validates the final logit count
     return model
 

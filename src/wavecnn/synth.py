@@ -37,6 +37,8 @@ class SynthSpec:
             raise ValueError("num_classes and clips_per_class must be >= 1")
         if self.families < 1:
             raise ValueError("families must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.carrier_bands_hz:
             centers = np.linspace(400.0, 3200.0, self.num_classes)
             self.carrier_bands_hz = [(c - 100.0, c + 100.0) for c in centers]

@@ -33,7 +33,7 @@ class TrainingError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A :class:`TrainConfig` setting out of its range."""
+    """A bad setting, flag or config file; the command line exits 2 on it."""
 
 
 @dataclass
@@ -127,17 +127,6 @@ def _ordered_map(fn, items, threads: int):
         yield from pool.map(fn, items)
 
 
-def _forward_losses(model: Model, jobs, threads: int):
-    """Run (x, y) jobs forward+backward; yield (loss, hit, grads) in order."""
-    def run(job):
-        x, y = job
-        logits, tape = model.forward(x, cache=True)
-        loss, probs, dlogits = softmax_xent(logits, y)
-        return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
-
-    return _ordered_map(run, jobs, threads)
-
-
 def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
           clips: dict[str, np.ndarray] | None = None, on_epoch=None):
     """Train in place; returns (history, stop_reason).
@@ -159,6 +148,13 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     stale_epochs = 0
     stop_reason = f"max_epochs {config.max_epochs}"
     prev_loss = None
+
+    def run(sample):
+        y = task.class_of(sample)
+        logits, tape = model.forward(clips[sample.clip_path], cache=True)
+        loss, probs, dlogits = softmax_xent(logits, y)
+        return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
+
     for epoch in range(config.max_epochs):
         epoch_loss = 0.0
         hits = 0
@@ -166,9 +162,8 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
         for batch_idx, batch in enumerate(epoch_batches):
             acc = [np.zeros_like(p) for p in params]
             data_loss = 0.0
-            jobs = [(clips[s.clip_path], task.class_of(s)) for s in batch]
             try:
-                for loss, hit, grads in _forward_losses(model, jobs, config.threads):
+                for loss, hit, grads in _ordered_map(run, batch, config.threads):
                     data_loss += loss
                     hits += hit
                     for a, g in zip(acc, grads):
@@ -203,15 +198,18 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     return history, stop_reason
 
 
-def predict_classes(model: Model, samples: list[Sample],
-                    clips: dict[str, np.ndarray] | None = None,
-                    threads: int = 1) -> np.ndarray:
-    """Argmax class index per sample; never mutates the model.
+def evaluate(model: Model, test: list[Sample], task: TaskSpec,
+             clips: dict[str, np.ndarray] | None = None,
+             threads: int = 1) -> EvalReport:
+    """Accuracy, per-class accuracy, confusion matrix, and per-age breakdown.
 
-    Raises FloatingPointError naming the clip when its logits are not finite.
+    Never mutates the model.  Raises FloatingPointError naming the clip when
+    its logits are not finite.
     """
+    if not test:
+        raise ValueError("empty test set")
     if clips is None:
-        clips = load_clips(samples)
+        clips = load_clips(test)
 
     def predict(sample):
         logits = model.forward(clips[sample.clip_path])
@@ -219,16 +217,7 @@ def predict_classes(model: Model, samples: list[Sample],
             raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
-    return np.array(list(_ordered_map(predict, samples, threads)), dtype=np.int64)
-
-
-def evaluate(model: Model, test: list[Sample], task: TaskSpec,
-             clips: dict[str, np.ndarray] | None = None,
-             threads: int = 1) -> EvalReport:
-    """Accuracy, per-class accuracy, confusion matrix, and per-age breakdown."""
-    if not test:
-        raise ValueError("empty test set")
-    preds = predict_classes(model, test, clips, threads)
+    preds = np.array(list(_ordered_map(predict, test, threads)), dtype=np.int64)
     truth = np.array([task.class_of(s) for s in test], dtype=np.int64)
     k = task.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)

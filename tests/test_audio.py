@@ -107,6 +107,13 @@ class TestResample:
         out = resample_to_8k(np.zeros(44100), 44100)
         assert len(out) == 8000
 
+    @pytest.mark.parametrize("rate", [11025, 16000, 44100])
+    def test_length_is_the_rounded_ratio_down_to_one_sample(self, rate):
+        # inputs shorter than the anti-alias filter included
+        for n in range(1, 131):
+            out = resample_to_8k(np.ones(n), rate)
+            assert len(out) == round(n * SAMPLE_RATE / rate), n
+
     def test_upsampling_rejected(self):
         with pytest.raises(WavFormatError, match="upsample"):
             resample_to_8k(np.zeros(100), 4000)

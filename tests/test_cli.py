@@ -458,6 +458,12 @@ class TestGradcheckAndSynth:
         assert len(list(out_dir.glob("*.wav"))) == 6
         assert (out_dir / "manifest.csv").exists()
 
+    def test_synth_negative_seed_exits_2_before_any_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        assert main(["synth", "--out", str(out_dir), "--seed", "-1"]) == EXIT_USAGE
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestThreadsEnvFallback:
     def test_wavenet_threads_env(self, cache, tmp_path, monkeypatch):
@@ -514,6 +520,37 @@ class TestLowRateWav:
                    "--manifest", str(manifest), "--task", "vocal_vs_nonvocal"])
         assert rc == EXIT_USAGE
         assert f"error: {wav}: cannot upsample from 4000 Hz" in capsys.readouterr().err
+
+
+class TestShortWav:
+    """A WAV shorter than the resampler's filter fails as too short, naming the file."""
+
+    @pytest.fixture
+    def short_wav(self, tmp_path):
+        wav = tmp_path / "short.wav"
+        write_wav(wav, 0.1 * np.sin(np.arange(40) / 5.0), rate=16000)
+        return wav
+
+    def test_prepare_counts_it_as_failed(self, short_wav, tmp_path, capsys):
+        write_wav(tmp_path / "good.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [("good.wav", "canonical", 6, "F00"),
+                                  (short_wav.name, "canonical", 6, "F00")])
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert f"error: {short_wav}: " in err
+        assert "too short for a 1-second clip" in err
+        assert len(list(out.glob("*.f32"))) == 1
+
+    def test_predict_names_the_file(self, short_wav, run_dir, capsys):
+        rc = main(["predict", "--weights", str(run_dir / "weights.bin"),
+                   "--wav", str(short_wav)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {short_wav}: " in err
+        assert "too short for a 1-second clip" in err
 
 
 class TestTrainSettingsRejectedBeforeAnyFile:

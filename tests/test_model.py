@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -162,6 +163,43 @@ class TestShapePropagation:
         for layer, (_, expected) in zip(model.layers, model.trace_shapes()[1:]):
             h = layer.forward(h, cache=False)
             assert h.shape == expected
+
+
+class TestConvPath:
+    """Which convolutions run the shift-GEMM path, fixed when the layer is built."""
+
+    SHIFT = {
+        WITH_INCEPTION: ["layer02:inception_nucleus.b1.2:conv1d",
+                         "layer02:inception_nucleus.b2.2:conv1d",
+                         "layer08:conv2d", "layer10:conv2d", "layer13:conv2d",
+                         "layer16:conv2d"],
+        WITHOUT_INCEPTION: ["layer11:conv2d", "layer13:conv2d", "layer16:conv2d",
+                            "layer19:conv2d"],
+    }
+
+    @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
+    def test_shift_layers_pinned(self, variant):
+        model = build_model(variant, 3, seed=None)
+        convs = [o for o in model.param_owners() if isinstance(o, layers.Conv2D)]
+        assert len(convs) == len(model.param_owners())
+        assert [c.name for c in convs if c.shift] == self.SHIFT[variant]
+
+    @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
+    def test_conv2d_path_matches_the_bench_work_count(self, variant):
+        # bench/workcount.py mirrors the path rule to size each layer's GEMM
+        bench = str(Path(__file__).resolve().parent.parent / "bench")
+        if bench not in sys.path:
+            sys.path.append(bench)
+        from workcount import conv2d_gemm
+
+        model = build_model(variant, 3, seed=None)
+        shapes = [shape for _, shape in model.trace_shapes()]
+        checked = 0
+        for i, (lyr, spec) in enumerate(zip(model.layers, model.config.layers)):
+            if spec.kind == "conv2d":
+                assert lyr.shift == conv2d_gemm(spec, shapes[i], shapes[i + 1])[3], lyr.name
+                checked += 1
+        assert checked == (5 if variant == WITH_INCEPTION else 6)
 
 
 class TestForwardBackward:
