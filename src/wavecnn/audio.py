@@ -97,9 +97,12 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
 
 
 def write_wav(path, samples: np.ndarray, rate: int = SAMPLE_RATE) -> None:
-    """Write mono 16-bit PCM; round-trips 16-bit content bit-exactly."""
-    quantized = np.clip(np.round(np.asarray(samples, dtype=np.float64) * 32768.0),
-                        -32768, 32767).astype("<i2")
+    """Write mono 16-bit PCM; round-trips 16-bit content bit-exactly.  A
+    non-finite sample raises ValueError naming ``path``; nothing is written."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{path}: non-finite samples; not written")
+    quantized = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()
     header = struct.pack("<4sI4s4sIHHIIHH4sI",
                          b"RIFF", 36 + len(payload), b"WAVE",

@@ -220,6 +220,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     results = run_full_check(seed=args.seed)
     wanted = None if args.layers == "all" else set(args.layers.split(","))
     if wanted:

@@ -123,8 +123,7 @@ def check_end_to_end(seed: int = 0) -> float:
         LayerSpec("conv1d", channels=3, kernel=(3,), stride=(2,), padding=SAME),
         LayerSpec("class_head", channels=3),
     ]
-    model = build_from_specs(specs, num_classes=3, input_samples=32,
-                             seed=seed, dtype=CHECK_DTYPE)
+    model = build_from_specs(specs, input_samples=32, seed=seed, dtype=CHECK_DTYPE)
     x = rng.standard_normal(32).astype(CHECK_DTYPE)
     x += 0.2 * np.sign(x)
     true_class = 1

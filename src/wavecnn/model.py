@@ -2,7 +2,10 @@
 
 Both networks take a standardized 8000-sample waveform and emit one logit per
 class.  The layer list is data (:class:`LayerSpec`), so the exact geometry,
-including per-layer padding, is auditable from a built model's config.
+including per-layer padding, is auditable from a built model's config.  The
+list is the one description of a model: ``build_from_specs`` reads the class
+count off the last layer's channels, the head off its kind, and the variant
+off the reference table it equals at 8000 samples, else ``"custom"``.
 
 Head styles:
 
@@ -76,8 +79,7 @@ def with_inception_layers(num_classes: int, dense_head: bool = False) -> list[La
     branch_small = [_conv1d(64, 4, 4), _relu()]
     branch_mid = [_conv1d(64, 8, 4), _relu(), _conv1d(64, 8, 1), _relu()]
     branch_wide = [_conv1d(64, 16, 4), _relu(), _conv1d(64, 16, 1), _relu()]
-    head_ch = 10 if dense_head else num_classes
-    layers = [
+    return [
         _conv1d(32, 80, 4), _relu(),
         LayerSpec("inception_nucleus", branches=[branch_small, branch_mid, branch_wide]),
         LayerSpec("maxpool1d", kernel=(10,), stride=(1,)),
@@ -89,15 +91,13 @@ def with_inception_layers(num_classes: int, dense_head: bool = False) -> list[La
         LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
         _conv2d(128, 3, 1), _relu(),
         LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
-        _conv2d(head_ch, 3, 1),
+        *_head_layers(3, num_classes, dense_head),
     ]
-    return layers + _head_layers(num_classes, dense_head)
 
 
 def without_inception_layers(num_classes: int, dense_head: bool = False) -> list[LayerSpec]:
     """Plain stacked-conv architecture column (~540 K parameters)."""
-    head_ch = 10 if dense_head else num_classes
-    layers = [
+    return [
         _conv1d(32, 9, 4), _relu(),
         _conv1d(32, 8, 4), _relu(),
         _conv1d(32, 9, 4), _relu(),
@@ -111,15 +111,19 @@ def without_inception_layers(num_classes: int, dense_head: bool = False) -> list
         _conv2d(256, 3, 1), _relu(),
         LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
         _conv2d(10, 1, 1), _relu(),
-        _conv2d(head_ch, 1, 1),
+        *_head_layers(1, num_classes, dense_head),
     ]
-    return layers + _head_layers(num_classes, dense_head)
 
 
-def _head_layers(num_classes: int, dense_head: bool) -> list[LayerSpec]:
+def _head_layers(k: int, num_classes: int, dense_head: bool) -> list[LayerSpec]:
+    """The final ``k`` x ``k`` conv and the head that turns it into logits."""
     if dense_head:
-        return [_relu(), LayerSpec("flatten"), LayerSpec("dense", channels=num_classes)]
-    return [LayerSpec("class_head", channels=num_classes)]
+        return [_conv2d(10, k, 1), _relu(), LayerSpec("flatten"),
+                LayerSpec("dense", channels=num_classes)]
+    return [_conv2d(num_classes, k, 1), LayerSpec("class_head", channels=num_classes)]
+
+
+_TABLES = {WITH_INCEPTION: with_inception_layers, WITHOUT_INCEPTION: without_inception_layers}
 
 
 @dataclass
@@ -208,14 +212,10 @@ class Model:
             except ShapeError as err:
                 raise ShapeError(f"layer {i} ({lyr.name}): {err}") from err
             trace.append((lyr.name, shape))
-        if shape != (self.config.num_classes,):
-            raise ShapeError(f"final shape {shape} does not match "
-                             f"{self.config.num_classes} classes")
         return trace
 
 
-def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, num_classes,
-                 prev_kind) -> Layer:
+def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, prev_kind) -> Layer:
     kind = spec.kind
     if kind == "conv1d":
         return Conv1D(in_shape[0], spec.channels, spec.kernel[0], spec.stride[0],
@@ -238,15 +238,15 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, num_classes,
     if kind == "dense":
         return Dense(in_shape[0], spec.channels, rng, dtype, name=tag)
     if kind == "class_head":
-        return ClassHead(num_classes, name=tag)
+        return ClassHead(spec.channels, name=tag)
     if kind == "inception_nucleus":
         return InceptionNucleus(
-            [_build_chain(branch, in_shape, rng, dtype, num_classes, f"{tag}.b{b}")
+            [_build_chain(branch, in_shape, rng, dtype, f"{tag}.b{b}")
              for b, branch in enumerate(spec.branches)], name=tag)
     raise ShapeError(f"unknown layer kind {kind!r}")
 
 
-def _build_chain(specs: list[LayerSpec], shape, rng, dtype, num_classes,
+def _build_chain(specs: list[LayerSpec], shape, rng, dtype,
                  branch: str | None = None) -> list[Layer]:
     """Build ``specs`` as one chain fed ``shape``.
 
@@ -258,7 +258,7 @@ def _build_chain(specs: list[LayerSpec], shape, rng, dtype, num_classes,
     for j, spec in enumerate(specs):
         tag = f"layer{j:02d}:{spec.kind}" if branch is None else f"{branch}.{j}:{spec.kind}"
         try:
-            lyr = _build_layer(spec, shape, rng, dtype, tag, num_classes,
+            lyr = _build_layer(spec, shape, rng, dtype, tag,
                                specs[j - 1].kind if j else None)
             shape = lyr.out_shape(shape)
         except ShapeError as err:
@@ -269,34 +269,31 @@ def _build_chain(specs: list[LayerSpec], shape, rng, dtype, num_classes,
     return layers
 
 
-def build_from_specs(specs: list[LayerSpec], num_classes: int, *,
-                     variant: str = "custom", input_samples: int = INPUT_SAMPLES,
-                     seed: int | None = 0, dense_head: bool = False,
-                     dtype=DTYPE) -> Model:
-    """Instantiate layers from specs and verify shape propagation end to end.
+def build_from_specs(specs: list[LayerSpec], *, input_samples: int = INPUT_SAMPLES,
+                     seed: int | None = 0, dtype=DTYPE) -> Model:
+    """Instantiate layers from specs, checking each layer's shape as it goes.
 
-    ``seed=None`` draws no weights: every parameter starts at zero.
+    The class count, head and variant are read off ``specs`` (module
+    docstring).  ``seed=None`` draws no weights: every parameter starts at zero.
     """
-    if num_classes < 2:
-        raise ShapeError(f"need at least 2 classes, got {num_classes}")
+    last = specs[-1] if specs else LayerSpec("nothing")
+    if last.kind not in ("class_head", "dense") or (last.channels or 0) < 2:
+        raise ShapeError(f"layer {len(specs) - 1} ({last.kind}, {last.channels} channels) "
+                         f"cannot end a model: only a class_head or dense of >= 2 channels can")
+    num_classes, dense_head = last.channels, last.kind == "dense"
+    variant = next((name for name, table in _TABLES.items() if input_samples == INPUT_SAMPLES
+                    and specs == table(num_classes, dense_head)), "custom")
     rng = None if seed is None else np.random.default_rng(seed)
     config = ModelConfig(specs, num_classes, variant, dense_head, input_samples, seed)
-    model = Model(config, _build_chain(specs, (1, input_samples), rng, dtype, num_classes))
-    model.trace_shapes()  # also validates the final logit count
-    return model
+    return Model(config, _build_chain(specs, (1, input_samples), rng, dtype))
 
 
 def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
                 dense_head: bool = False, dtype=DTYPE) -> Model:
     """Build one of the two reference architectures for a given class count."""
-    if variant == WITH_INCEPTION:
-        specs = with_inception_layers(num_classes, dense_head)
-    elif variant == WITHOUT_INCEPTION:
-        specs = without_inception_layers(num_classes, dense_head)
-    else:
+    if variant not in _TABLES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return build_from_specs(specs, num_classes, variant=variant, seed=seed,
-                            dense_head=dense_head, dtype=dtype)
+    return build_from_specs(_TABLES[variant](num_classes, dense_head), seed=seed, dtype=dtype)
 
 
 # -- weights serialization ---------------------------------------------------
@@ -306,8 +303,11 @@ _ROLE_NAMES = {v: k for k, v in _ROLES.items()}
 
 
 def save_weights(model: Model, path) -> None:
-    """Write ``model`` as a WVNC1 file.  A non-finite parameter raises
-    ValueError naming the file and ``<owner>.<role>``; no file is opened."""
+    """Write ``model`` as a WVNC1 file.  A custom architecture, which the
+    header cannot name, or a non-finite parameter raises ValueError naming
+    the file (and ``<owner>.<role>``); no file is opened."""
+    if model.config.variant not in VARIANTS:
+        raise ValueError(f"{path}: a custom architecture has no WVNC1 variant tag; not written")
     for name, arr in zip(model.parameter_names(), model.parameter_arrays()):
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite values in {name}; not written")

@@ -39,6 +39,8 @@ class SynthSpec:
             raise ValueError("families must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
+            raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
         if not self.carrier_bands_hz:
             centers = np.linspace(400.0, 3200.0, self.num_classes)
             self.carrier_bands_hz = [(c - 100.0, c + 100.0) for c in centers]

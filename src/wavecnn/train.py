@@ -265,26 +265,18 @@ def lofo_sweep(samples: list[Sample], task: TaskSpec, config: TrainConfig,
     if clips is None:
         clips = load_clips(kept)
 
-    def fresh_model():
-        if model_factory is not None:
-            return model_factory()
-        return build_model(config.variant, task.num_classes, seed=config.seed,
-                           dense_head=config.dense_head)
-
     reports = {}
-    for family in families:
-        split = make_split(samples, task, policy=f"lofo:{family}",
-                           seed=config.seed)
-        model = fresh_model()
+    for family in [*families, None]:  # None: the random-holdout baseline, run last
+        split = make_split(samples, task, seed=config.seed,
+                           policy=HOLDOUT if family is None else f"lofo:{family}",
+                           test_fraction=config.test_fraction)
+        model = (model_factory() if model_factory is not None else
+                 build_model(config.variant, task.num_classes, seed=config.seed,
+                             dense_head=config.dense_head))
         train(model, split, task, config, clips, on_epoch)
         reports[family] = evaluate(model, split.test, task, clips,
                                    threads=config.threads)
-    baseline_split = make_split(samples, task, policy=HOLDOUT, seed=config.seed,
-                                test_fraction=config.test_fraction)
-    baseline_model = fresh_model()
-    train(baseline_model, baseline_split, task, config, clips, on_epoch)
-    baseline = evaluate(baseline_model, baseline_split.test, task, clips,
-                        threads=config.threads)
+    baseline = reports.pop(None)
     accs = [r.overall_accuracy for r in reports.values()]
     return LofoResult(reports, baseline, float(np.mean(accs)), min(accs),
                       max(accs), baseline.overall_accuracy - float(np.mean(accs)))

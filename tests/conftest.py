@@ -36,7 +36,7 @@ def tiny_specs(num_classes):
 
 
 def tiny_model(num_classes, seed=0):
-    return build_from_specs(tiny_specs(num_classes), num_classes, seed=seed)
+    return build_from_specs(tiny_specs(num_classes), seed=seed)
 
 
 def tone_clip(freq_hz, rng, noise=0.05):

@@ -97,6 +97,13 @@ class TestLoadWav:
         write_wav(second, samples, rate)
         assert second.read_bytes() == first.read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_write_refuses_non_finite_samples_before_any_file(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite samples")):
+            write_wav(path, np.array([0.1, bad, -0.2]))
+        assert not path.exists()
+
 
 class TestResample:
     def test_rate_8k_is_identity(self):

@@ -450,6 +450,10 @@ class TestGradcheckAndSynth:
     def test_gradcheck_unknown_layer(self, capsys):
         assert main(["gradcheck", "--layers", "transformer"]) == EXIT_USAGE
 
+    def test_gradcheck_negative_seed_names_the_setting(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_USAGE
+        assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_synth_command_counts(self, tmp_path, capsys):
         out_dir = tmp_path / "gen"
         rc = main(["synth", "--out", str(out_dir), "--classes", "2",
@@ -462,6 +466,13 @@ class TestGradcheckAndSynth:
         out_dir = tmp_path / "gen"
         assert main(["synth", "--out", str(out_dir), "--seed", "-1"]) == EXIT_USAGE
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_synth_non_finite_noise_exits_2_before_any_file(self, tmp_path, capsys, noise):
+        out_dir = tmp_path / "gen"
+        assert main(["synth", "--out", str(out_dir), "--noise", noise]) == EXIT_USAGE
+        assert "error: noise_floor must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
 
 

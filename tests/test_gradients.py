@@ -60,7 +60,7 @@ def test_pool_followed_by_relu_composite():
              LayerSpec("maxpool1d", kernel=(3,), stride=(1,)),
              LayerSpec("relu"),
              LayerSpec("class_head", channels=3)]
-    model = build_from_specs(specs, 3, input_samples=24, seed=6, dtype=CHECK_DTYPE)
+    model = build_from_specs(specs, input_samples=24, seed=6, dtype=CHECK_DTYPE)
     assert not model.layers[2].inplace
     x = rng.standard_normal(24).astype(CHECK_DTYPE)
 
@@ -84,8 +84,7 @@ def test_dense_head_end_to_end_gradients():
              LayerSpec("relu"),
              LayerSpec("flatten"),
              LayerSpec("dense", channels=2)]
-    model = build_from_specs(specs, 2, input_samples=21, seed=8,
-                             dense_head=True, dtype=CHECK_DTYPE)
+    model = build_from_specs(specs, input_samples=21, seed=8, dtype=CHECK_DTYPE)
     x = rng.standard_normal(21).astype(CHECK_DTYPE)
     x += 0.2 * np.sign(x)
 

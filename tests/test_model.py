@@ -15,11 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wavecnn
+from conftest import tiny_model
 from wavecnn import layers
 from wavecnn.data import builtin_tasks
 from wavecnn.layers import SAME, VALID, LayerSpec, MaxPool2D, ReLU, softmax_xent
 from wavecnn.model import (WITH_INCEPTION, WITHOUT_INCEPTION, WeightsFormatError,
-                           build_from_specs, build_model, load_weights, save_weights)
+                           build_from_specs, build_model, load_weights, save_weights,
+                           with_inception_layers, without_inception_layers)
 from wavecnn.tensor import ShapeError
 
 # Architecture tables as plain data for the independent symbolic parameter
@@ -154,7 +156,7 @@ class TestShapePropagation:
                  LayerSpec("maxpool1d", kernel=(50,), stride=(1,))]
         with pytest.raises(ShapeError, match=r"layer 1 \(maxpool1d\)"):
             build_from_specs(specs + [LayerSpec("class_head", channels=2)],
-                             2, input_samples=40)
+                             input_samples=40)
 
     def test_real_forward_shapes_match_trace(self):
         model = build_model(WITHOUT_INCEPTION, 4, seed=3)
@@ -415,6 +417,51 @@ def training_digests():
     proc = subprocess.run([sys.executable, "-c", TRAINING_DIGEST_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout)
+
+
+class TestSpecsDescribeModel:
+    """The spec list alone fixes a model's class count, head and variant."""
+
+    @pytest.mark.parametrize("variant,table", [(WITH_INCEPTION, with_inception_layers),
+                                               (WITHOUT_INCEPTION, without_inception_layers)])
+    @pytest.mark.parametrize("dense_head", [False, True], ids=["gap", "dense"])
+    @pytest.mark.parametrize("classes", [2, 5])
+    def test_table_specs_build_the_reference_model(self, tmp_path, variant, table,
+                                                   dense_head, classes):
+        model = build_from_specs(table(classes, dense_head), seed=4)
+        reference = build_model(variant, classes, seed=4, dense_head=dense_head)
+        for config in (model.config, reference.config):
+            assert (config.variant, config.dense_head, config.num_classes) == \
+                (variant, dense_head, classes)
+        assert model.state_bytes() == reference.state_bytes()
+        save_weights(model, tmp_path / "w.bin")
+        loaded = load_weights(tmp_path / "w.bin")
+        assert (loaded.config.variant, loaded.config.dense_head,
+                loaded.config.num_classes) == (variant, dense_head, classes)
+        assert loaded.state_bytes() == model.state_bytes()
+
+    def test_reference_table_at_another_input_length_is_custom(self):
+        model = build_from_specs(without_inception_layers(2), input_samples=16000, seed=None)
+        assert model.config.variant == "custom"
+
+    def test_custom_architecture_is_not_saved(self, tmp_path):
+        model = tiny_model(3)
+        assert model.config.variant == "custom"
+        path = tmp_path / "custom.bin"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            save_weights(model, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("last,label", [
+        (LayerSpec("conv1d", channels=3, kernel=(3,), stride=(1,), padding=SAME),
+         r"layer 2 \(conv1d"),
+        (LayerSpec("class_head", channels=1), r"layer 2 \(class_head, 1 channels\)"),
+    ], ids=["conv", "one_class"])
+    def test_specs_must_end_in_a_head_of_two_or_more_classes(self, last, label):
+        specs = [LayerSpec("conv1d", channels=1, kernel=(4,), stride=(4,), padding=SAME),
+                 LayerSpec("relu"), last]
+        with pytest.raises(ShapeError, match=label):
+            build_from_specs(specs, input_samples=16)
 
 
 class TestSerialization:

@@ -21,6 +21,11 @@ class TestSynthSpec:
         with pytest.raises(ValueError, match="carrier band"):
             SynthSpec(num_classes=1, carrier_bands_hz=[(3900.0, 4100.0)])
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
+    def test_noise_floor_must_be_finite_and_non_negative(self, noise):
+        with pytest.raises(ValueError, match="noise_floor"):
+            SynthSpec(noise_floor=noise)
+
 
 class TestGenerate:
     def test_counts_and_manifest(self, tmp_path):
