@@ -47,12 +47,13 @@ def _typed(key: str, text: str, where: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse key=value lines into typed values; '#' starts a comment; unknown
-    keys are errors."""
+    """Parse key=value lines into typed values; a line whose first non-blank
+    character is '#' is a comment, so a value may hold '#'; unknown keys are
+    errors."""
     values = {}
     for lineno, line in enumerate(read_utf8_lines(path, ConfigError), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
@@ -121,6 +122,9 @@ def _task_for(model, name: str) -> TaskSpec:
 def cmd_prepare(args) -> int:
     manifest = _require_manifest(args.manifest)
     out_dir = Path(args.out or "clip_cache")
+    out_manifest = out_dir / "manifest.csv"
+    if out_manifest.exists() and out_manifest.samefile(manifest):
+        raise ConfigError(f"--out {out_dir} holds the input manifest {manifest}")
     out_dir.mkdir(parents=True, exist_ok=True)
     samples = parse_manifest(manifest)
     rows = []
@@ -135,7 +139,7 @@ def cmd_prepare(args) -> int:
         except (audio.WavFormatError, OSError) as err:
             failures.append(str(err))
             print(f"error: {err}", file=sys.stderr)
-    write_manifest(out_dir / "manifest.csv", rows)
+    write_manifest(out_manifest, rows)
     print(f"cached {len(rows)} clips from {len(samples) - len(failures)} files "
           f"into {out_dir} ({len(failures)} failed)")
     return EXIT_PARTIAL if failures else EXIT_OK

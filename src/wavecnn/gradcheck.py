@@ -51,12 +51,12 @@ def check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> dict[str, flo
 
     Returns max relative error keyed by 'dx' and each parameter name.
     """
-    upstream = rng.standard_normal(layer.forward(x, cache=False).shape).astype(CHECK_DTYPE)
+    out, tape = layer.forward(x, cache=True)
+    upstream = rng.standard_normal(out.shape).astype(CHECK_DTYPE)
 
     def scalar() -> float:
         return float(np.sum(upstream * layer.forward(x, cache=False)))
 
-    _, tape = layer.forward(x, cache=True)
     dx, grads = layer.backward(tape, upstream)
     errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x))}
     slots = [(owner, role) for owner in layer.param_owners() for role in ("weight", "bias")]

@@ -344,10 +344,9 @@ class MaxPool2D(Layer):
     def out_shape(self, in_shape):
         if len(in_shape) != 3:
             raise ShapeError(f"{self.name}: expected rank 3, got {in_shape}")
-        (kh, kw), (sh, sw) = self.kernel, self.stride
-        if in_shape[1] < kh or in_shape[2] < kw:
-            raise ShapeError(f"{self.name}: extents {in_shape[1:]} < kernel {self.kernel}")
-        return (in_shape[0], (in_shape[1] - kh) // sh + 1, (in_shape[2] - kw) // sw + 1)
+        nh = conv_out_len(in_shape[1], self.kernel[0], self.stride[0], VALID)
+        nw = conv_out_len(in_shape[2], self.kernel[1], self.stride[1], VALID)
+        return (in_shape[0], nh, nw)
 
     def forward(self, x, cache=False):
         _, nh, nw = self.out_shape(x.shape)

@@ -25,9 +25,9 @@ Weights file format ("WVNC1", little-endian throughout):
 uses the dense head.  Owners are parameter-carrying layers in traversal
 order (inception branches contribute their convs in branch order); each owner
 contributes exactly one weight and one bias record.  Round-trips bit-exactly.
-A file that breaks any of these rules, or does not match the architecture
-its header names, raises :class:`WeightsFormatError` naming the file and the
-cause.
+A file that breaks any of these rules, holds a NaN or inf value, or does
+not match the architecture its header names, raises
+:class:`WeightsFormatError` naming the file and the cause.
 
 Seeds: ``build_model``/``build_from_specs`` with an integer seed draw
 Glorot-uniform weights, bitwise the same for the same seed.  With
@@ -202,15 +202,13 @@ class Model:
     def trace_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         """Propagate the input shape analytically through every layer.
 
-        Raises ShapeError naming the first failing layer.
+        The build ran the same walk, naming any failing layer, so a built
+        model passes it.
         """
         shape = (1, self.config.input_samples)
         trace = [("input", shape)]
-        for i, lyr in enumerate(self.layers):
-            try:
-                shape = lyr.out_shape(shape)
-            except ShapeError as err:
-                raise ShapeError(f"layer {i} ({lyr.name}): {err}") from err
+        for lyr in self.layers:
+            shape = lyr.out_shape(shape)
             trace.append((lyr.name, shape))
         return trace
 
@@ -384,6 +382,8 @@ def load_weights(path) -> Model:
                       f"end of the {len(blob)}-byte file")
         target[...] = np.frombuffer(blob, dtype="<f4", count=target.size,
                                     offset=pos).reshape(shape)
+        if not np.isfinite(target).all():
+            raise bad(f"owner {idx} {role}: non-finite values")
         pos = end
     if pos != len(blob):
         raise bad(f"{len(blob) - pos} trailing bytes after parameter records")

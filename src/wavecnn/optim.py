@@ -72,7 +72,5 @@ def l2_penalty(weights: list[np.ndarray], lam: float):
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    if lam == 0.0:
-        return 0.0, [np.zeros_like(w) for w in weights]
     loss = lam * float(sum(np.sum(np.square(w, dtype=np.float64)) for w in weights))
     return loss, [(2.0 * lam) * w for w in weights]

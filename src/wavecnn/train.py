@@ -5,11 +5,12 @@ softmax cross-entropy gradients over the batch, add the L2 term, take an Adam
 step.  Training stops at ``max_epochs`` or once the relative loss improvement
 stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
 
-``threads > 1`` fans per-sample work across that many threads, which all
-run on the one model: a cached forward returns its tape rather than storing
-it on the layers, and backward returns the gradients.  Training and
-evaluation share one ordered map, so gradients are reduced in sample order
-and results do not depend on the worker count.
+Every thread count runs the same code: each :func:`train` or
+:func:`evaluate` call opens one pool of ``threads`` workers and maps every
+sample through it.  The workers all run on the one model: a cached forward
+returns its tape rather than storing it on the layers, and backward returns
+the gradients.  The pool yields results in sample order, so gradients are
+reduced in that order and results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -115,18 +116,6 @@ def load_clips(samples: list[Sample]) -> dict[str, np.ndarray]:
     return {s.clip_path: audio.load_clip(s.clip_path) for s in samples}
 
 
-def _ordered_map(fn, items, threads: int):
-    """Yield ``fn(item)`` for each item, in the order of ``items``, on
-    ``threads`` worker threads when that is more than one."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # executor.map keeps result order == submission order, so a
-        # reduction over the results is ordered no matter the worker count
-        yield from pool.map(fn, items)
-
-
 def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
           clips: dict[str, np.ndarray] | None = None, on_epoch=None):
     """Train in place; returns (history, stop_reason).
@@ -155,46 +144,49 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
         loss, probs, dlogits = softmax_xent(logits, y)
         return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
 
-    for epoch in range(config.max_epochs):
-        epoch_loss = 0.0
-        hits = 0
-        epoch_batches = batches(split.train, config.batch_size, config.seed, epoch)
-        for batch_idx, batch in enumerate(epoch_batches):
-            acc = [np.zeros_like(p) for p in params]
-            data_loss = 0.0
-            try:
-                for loss, hit, grads in _ordered_map(run, batch, config.threads):
-                    data_loss += loss
-                    hits += hit
-                    for a, g in zip(acc, grads):
-                        a += g
-                data_loss /= len(batch)
-                for a in acc:
-                    a /= len(batch)
-                l2_loss, l2_grads = l2_penalty(weights, config.lam)
-                for slot, g in zip(weight_slots, l2_grads):
-                    acc[slot] += g
-                batch_loss = data_loss + l2_loss
-                if not np.isfinite(batch_loss):
-                    raise FloatingPointError("non-finite loss")
-                optimizer.step(acc, names)
-            except FloatingPointError as err:
-                raise TrainingError(f"{err} at epoch {epoch} batch {batch_idx}") from err
-            epoch_loss += batch_loss
-        epoch_loss /= len(epoch_batches)
-        train_acc = 100.0 * hits / len(split.train)
-        stats = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc}
-        history.append(stats)
-        if on_epoch is not None and on_epoch(epoch, stats):
-            stop_reason = f"callback at epoch {epoch}"
-            break
-        if prev_loss is not None:
-            improved = (prev_loss - epoch_loss) / max(abs(prev_loss), 1e-12)
-            stale_epochs = stale_epochs + 1 if improved < config.converge_rel else 0
-            if stale_epochs >= config.converge_patience:
-                stop_reason = f"converged at epoch {epoch}"
+    # pool.map yields results in submission order, so the gradient reduction
+    # is ordered no matter the worker count
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        for epoch in range(config.max_epochs):
+            epoch_loss = 0.0
+            hits = 0
+            epoch_batches = batches(split.train, config.batch_size, config.seed, epoch)
+            for batch_idx, batch in enumerate(epoch_batches):
+                acc = [np.zeros_like(p) for p in params]
+                data_loss = 0.0
+                try:
+                    for loss, hit, grads in pool.map(run, batch):
+                        data_loss += loss
+                        hits += hit
+                        for a, g in zip(acc, grads):
+                            a += g
+                    data_loss /= len(batch)
+                    for a in acc:
+                        a /= len(batch)
+                    l2_loss, l2_grads = l2_penalty(weights, config.lam)
+                    for slot, g in zip(weight_slots, l2_grads):
+                        acc[slot] += g
+                    batch_loss = data_loss + l2_loss
+                    if not np.isfinite(batch_loss):
+                        raise FloatingPointError("non-finite loss")
+                    optimizer.step(acc, names)
+                except FloatingPointError as err:
+                    raise TrainingError(f"{err} at epoch {epoch} batch {batch_idx}") from err
+                epoch_loss += batch_loss
+            epoch_loss /= len(epoch_batches)
+            train_acc = 100.0 * hits / len(split.train)
+            stats = {"epoch": epoch, "loss": epoch_loss, "train_acc": train_acc}
+            history.append(stats)
+            if on_epoch is not None and on_epoch(epoch, stats):
+                stop_reason = f"callback at epoch {epoch}"
                 break
-        prev_loss = epoch_loss
+            if prev_loss is not None:
+                improved = (prev_loss - epoch_loss) / max(abs(prev_loss), 1e-12)
+                stale_epochs = stale_epochs + 1 if improved < config.converge_rel else 0
+                if stale_epochs >= config.converge_patience:
+                    stop_reason = f"converged at epoch {epoch}"
+                    break
+            prev_loss = epoch_loss
     return history, stop_reason
 
 
@@ -217,7 +209,8 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
             raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
-    preds = np.array(list(_ordered_map(predict, test, threads)), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        preds = np.array(list(pool.map(predict, test)), dtype=np.int64)
     truth = np.array([task.class_of(s) for s in test], dtype=np.int64)
     k = task.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import float32_wav_bytes, wav_bytes
 from wavecnn import layers
 from wavecnn.audio import load_clip, read_clip_cache, write_wav
-from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main, read_config_file
 from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.synth import SynthSpec, generate
 
@@ -107,6 +108,18 @@ class TestPrepare:
         for path in sorted(cache.glob("*.f32")):
             assert (again / path.name).read_bytes() == path.read_bytes()
         assert (again / "manifest.csv").read_text() == (cache / "manifest.csv").read_text()
+
+    def test_out_holding_the_input_manifest_exits_2_before_any_file(self, tmp_path, capsys):
+        write_wav(tmp_path / "a.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        manifest = tmp_path / "manifest.csv"
+        write_manifest(manifest, [("a.wav", "canonical", 6, "F00")])
+        before = manifest.read_bytes()
+        rc = main(["prepare", "--manifest", str(manifest), "--out", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert manifest.read_bytes() == before
+        assert not list(tmp_path.glob("*.f32"))
+        assert capsys.readouterr().err == (f"error: --out {tmp_path} holds the input "
+                                           f"manifest {manifest}\n")
 
     def test_long_recording_becomes_multiple_clips(self, tmp_path):
         import numpy as np
@@ -220,6 +233,21 @@ class TestTrain:
                      "--out", str(second)]) == EXIT_OK
         for name in ("run_log.jsonl", "weights.bin", "report.json", "config.resolved"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_config_resolved_reruns_from_a_path_holding_a_hash(self, cache, tmp_path):
+        hashed = tmp_path / "a#b"
+        shutil.copytree(cache, hashed)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(train_args(hashed, first)) == EXIT_OK
+        assert main(["train", "--config", str(first / "config.resolved"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in ("run_log.jsonl", "weights.bin", "report.json", "config.resolved"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_only_whole_lines_are_comments(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# a comment\n  # an indented one\nsplit=lofo:F#1\n")
+        assert read_config_file(config) == {"split": "lofo:F#1"}
 
     def test_convergence_settings_from_config_file(self, cache, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -400,7 +428,8 @@ class TestEvalPredictParams:
         (14, struct.pack("<I", 999), "owner index 999 out of range"),
         (18, b"\x07", "unknown role 7"),
         (1322, b"\x00", "owner 0 weight written twice"),  # owner 1's weight record
-    ], ids=["cut to 16 bytes", "owner index 999", "role 7", "duplicate owner"])
+        (2150814, struct.pack("<f", np.inf), "owner 8 bias: non-finite values"),  # last value
+    ], ids=["cut to 16 bytes", "owner index 999", "role 7", "duplicate owner", "inf value"])
     def test_malformed_weights_exit_2_naming_file(self, run_dir, tmp_path, capsys,
                                                   offset, patch, cause):
         blob = bytearray((run_dir / "weights.bin").read_bytes())
@@ -415,6 +444,19 @@ class TestEvalPredictParams:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and cause in err
         assert "Traceback" not in err
+
+    def test_eval_on_non_finite_weights_exits_2_naming_them(self, cache, run_dir, tmp_path,
+                                                            capsys):
+        blob = bytearray((run_dir / "weights.bin").read_bytes())
+        struct.pack_into("<f", blob, len(blob) - 4, np.nan)  # a bias of the final conv
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        rc = main(["eval", "--weights", str(bad), "--manifest", str(cache / "manifest.csv"),
+                   "--task", "vocal_vs_nonvocal"])
+        assert rc == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: owner 8 bias: non-finite values\n"
 
     def test_params_reports_exact_totals(self, capsys):
         assert main(["params", "--variant", "without_inception", "--classes", "10"]) == EXIT_OK

@@ -576,6 +576,9 @@ MALFORMED = {
     # owners 0 and 1 both have a (32,) bias, so only the slot check catches this
     "duplicate bias": (lambda b, r: poke(b, r[3], "<I", 0), "owner 0 bias written twice"),
     "trailing bytes": (lambda b, r: b + b"\0\0", "2 trailing bytes"),
+    # owner 0's bias holds 32 values after its 10-byte record header
+    "non-finite value": (lambda b, r: poke(b, r[1] + 10 + 4 * 5, "<f", np.nan),
+                         "owner 0 bias: non-finite values"),
 }
 
 

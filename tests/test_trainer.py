@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import wavecnn.train
 from conftest import tiny_model, tone_corpus
 from wavecnn.data import Split, get_task
 from wavecnn.layers import softmax_xent
@@ -72,6 +73,25 @@ class TestTrainLoop:
             sys.setswitchinterval(interval)
         assert histories[0] == histories[1]
         assert states[0] == states[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_pool_per_train_and_per_evaluate_call(self, two_tone_corpus, monkeypatch,
+                                                      threads):
+        opened = []
+        pool_class = wavecnn.train.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            return pool_class(*args, **kwargs)
+
+        monkeypatch.setattr(wavecnn.train, "ThreadPoolExecutor", counting_pool)
+        samples, clips = two_tone_corpus
+        model = tiny_model(2)
+        train(model, split_all_train(samples), IDS_VS_ADS,
+              quick_config(max_epochs=2, threads=threads), clips)  # 8 batches
+        assert opened == [threads]
+        evaluate(model, samples, IDS_VS_ADS, clips, threads=threads)
+        assert opened == [threads, threads]
 
     def test_convergence_stop_after_patience(self, two_tone_corpus):
         samples, clips = two_tone_corpus
