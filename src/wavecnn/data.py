@@ -13,6 +13,7 @@ to the five-way full-label task.
 
 from __future__ import annotations
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,9 +109,11 @@ MANIFEST_HEADER = "clip_path,raw_label,age_months,family_id"
 
 
 def read_utf8_lines(path, error=ManifestError) -> list[str]:
-    """Lines of a UTF-8 text file; an undecodable byte raises ``error``
-    naming the file and the line."""
-    raw = Path(path).read_bytes()
+    """Lines of a UTF-8 text file, less a leading byte-order mark; an
+    undecodable byte raises ``error`` naming the file and the line."""
+    # stripped here rather than by the utf-8-sig codec, whose error offsets
+    # start after the mark and so would count lines from the wrong byte
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as err:

@@ -151,8 +151,11 @@ class Model:
     # -- execution ---------------------------------------------------------
 
     def forward(self, x: np.ndarray, cache: bool = False):
-        """Logits, or ``(logits, tape)`` when ``cache`` is true."""
-        x = np.asarray(x)
+        """Logits, or ``(logits, tape)`` when ``cache`` is true.
+
+        The input is cast to the parameters' dtype; input already in it is
+        used as given, without a copy."""
+        x = np.asarray(x, dtype=self.parameter_arrays()[0].dtype)
         if x.ndim == 1:
             x = x.reshape(1, -1)
         if x.shape != (1, self.config.input_samples):

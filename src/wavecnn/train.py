@@ -11,10 +11,27 @@ sample through it.  The workers all run on the one model: a cached forward
 returns its tape rather than storing it on the layers, and backward returns
 the gradients.  The pool yields results in sample order, so gradients are
 reduced in that order and results do not depend on the worker count.
+
+Heap policy.  The first :func:`train` or :func:`evaluate` call in a process
+sets glibc's allocator, through ``mallopt``, for the rest of that process:
+blocks up to 32 MiB come from the heap rather than from ``mmap``
+(``M_MMAP_THRESHOLD``), freed heap is never returned to the kernel
+(``M_TRIM_THRESHOLD`` = -1), and every thread shares one arena
+(``M_ARENA_MAX`` = 1).  Each sample frees the buffers of its forward and
+backward pass.  With glibc's defaults that memory went back to the kernel
+and the next sample faulted it in again, page by page, and each worker
+thread kept its own copy of the working set in its own arena.  Under the
+policy a process that has trained once takes almost no page faults per
+sample and has a lower peak RSS.  The settings are process-wide in glibc, and
+restoring the defaults after each call would bring the faults back, so they
+stay.  Where ``mallopt`` is missing nothing is set.  Prediction never sets
+them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +44,19 @@ from .data import HOLDOUT, Sample, Split, TaskSpec, batches, make_split
 from .layers import softmax_xent
 from .model import Model, build_model
 from .optim import Adam, l2_penalty
+
+
+@functools.cache
+def _keep_heap_resident() -> None:
+    """Set the heap policy of the module docstring, once per process."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # <malloc.h>: M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD -1, M_ARENA_MAX -8
+    for param, value in ((-3, 32 << 20), (-1, -1), (-8, 1)):
+        mallopt(param, value)
 
 
 class TrainingError(RuntimeError):
@@ -144,6 +174,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
         loss, probs, dlogits = softmax_xent(logits, y)
         return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
 
+    _keep_heap_resident()
     # pool.map yields results in submission order, so the gradient reduction
     # is ordered no matter the worker count
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
@@ -209,6 +240,7 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
             raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
+    _keep_heap_resident()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         preds = np.array(list(pool.map(predict, test)), dtype=np.int64)
     truth = np.array([task.class_of(s) for s in test], dtype=np.int64)

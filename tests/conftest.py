@@ -1,11 +1,15 @@
 """Shared helpers: a cheap shallow architecture and in-memory tone corpora, so
 trainer tests exercise the real loop without paying full-architecture compute."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wavecnn
 from wavecnn.audio import CLIP_SAMPLES, SAMPLE_RATE, standardize_samples
 from wavecnn.data import AGES_MONTHS, Sample
 from wavecnn.layers import LayerSpec
@@ -24,6 +28,42 @@ def wav_bytes(payload: bytes, audio_format=1, bits=16, rate=8000):
 def float32_wav_bytes(values, rate=8000):
     """A mono IEEE-float WAV holding ``values``, NaN and inf included."""
     return wav_bytes(np.asarray(values, dtype="<f4").tobytes(), 3, 32, rate)
+
+
+# Defines train_once(threads): one epoch of train() on four random clips and a
+# without_inception model, batch 4, returning the number of samples trained.
+# For scripts run with run_python, where process-wide state starts clean.
+TRAIN_ONCE = """
+import numpy as np
+from wavecnn.data import AGES_MONTHS, Sample, Split, get_task
+from wavecnn.model import build_model
+from wavecnn.train import TrainConfig, train
+
+_task = get_task("ids_vs_ads")
+_rng = np.random.default_rng(0)
+_samples = [Sample(f"c{i}.f32", ("ids", "ads")[i % 2], AGES_MONTHS[0], "F00")
+            for i in range(4)]
+_clips = {s.clip_path: _rng.standard_normal(8000).astype(np.float32) for s in _samples}
+_model = build_model("without_inception", _task.num_classes, seed=0)
+
+def train_once(threads):
+    config = TrainConfig(task=_task.name, variant="without_inception",
+                         batch_size=len(_samples), max_epochs=1, threads=threads)
+    train(_model, Split(_samples, [], "holdout"), _task, config, _clips)
+    return len(_samples)
+"""
+
+
+def run_python(script, *args):
+    """Standard output of ``script`` run by a fresh interpreter on this
+    package, with BLAS on one thread so that its bits are reproducible."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecnn.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    return proc.stdout
 
 
 def tiny_specs(num_classes):

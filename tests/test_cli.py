@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import shutil
@@ -271,6 +272,11 @@ class TestTrain:
         rc = main(train_args(cache, tmp_path / "run", extra=["--config", str(config)]))
         assert rc == EXIT_USAGE
         assert f"error: {config}:2: not UTF-8" in capsys.readouterr().err
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(codecs.BOM_UTF8 + b"max_epochs=3\nseed=4\n")
+        assert read_config_file(config) == {"max_epochs": 3, "seed": 4}
 
     def test_unknown_config_key_exits_2(self, cache, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

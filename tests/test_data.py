@@ -1,3 +1,4 @@
+import codecs
 import re
 
 import numpy as np
@@ -57,6 +58,15 @@ class TestParseManifest:
         path.write_bytes(f"{HEADER}\na.wav,ids,3,F01\n".encode()
                          + b"b\xff.wav,ids,3,F01\n")
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: not UTF-8"):
+            parse_manifest(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(codecs.BOM_UTF8 + f"{HEADER}\na.wav,ids,3,F01\n".encode())
+        assert [(s.raw_label, s.age_months, s.family_id)
+                for s in parse_manifest(path)] == [("ids", 3, "F01")]
+        path.write_bytes(codecs.BOM_UTF8 + f"{HEADER}\n".encode() + b"b\xff.wav,ids,3,F01\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:2: not UTF-8"):
             parse_manifest(path)
 
     def test_empty_after_header(self, tmp_path):

@@ -1,9 +1,7 @@
 import hashlib
 import json
-import os
 import re
 import struct
-import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -14,8 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import wavecnn
-from conftest import tiny_model
+from conftest import TRAIN_ONCE, run_python, tiny_model
 from wavecnn import layers
 from wavecnn.data import builtin_tasks
 from wavecnn.layers import SAME, VALID, LayerSpec, MaxPool2D, ReLU, softmax_xent
@@ -216,6 +213,15 @@ class TestForwardBackward:
             model = build_model(WITHOUT_INCEPTION, task.num_classes, seed=1)
             assert model.forward(x).shape == (task.num_classes,)
 
+    @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
+    def test_input_is_cast_to_the_parameter_dtype(self, variant):
+        x = np.random.default_rng(0).standard_normal(8000)
+        model = build_model(variant, 3)
+        npt.assert_array_equal(model.forward(x), model.forward(x.astype(np.float32)))
+        assert model.forward(x.astype(np.float16)).dtype == np.float32
+        model64 = build_model(variant, 3, dtype=np.float64)
+        assert model64.forward(x.astype(np.float32)).dtype == np.float64
+
     def test_wrong_input_length_rejected(self):
         model = build_model(WITHOUT_INCEPTION, 2)
         with pytest.raises(ShapeError, match="8000"):
@@ -410,13 +416,15 @@ print(json.dumps(digests))
 
 @pytest.fixture(scope="module")
 def training_digests():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecnn.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", TRAINING_DIGEST_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-    return json.loads(proc.stdout)
+    return json.loads(run_python(TRAINING_DIGEST_SCRIPT))
+
+
+def test_training_digests_hold_under_the_heap_policy():
+    """The allocator settings train() applies change where buffers live, not
+    what is computed in them."""
+    digests = json.loads(run_python(TRAIN_ONCE + "train_once(1)\n" + TRAINING_DIGEST_SCRIPT))
+    for (variant, head), digest in TRAINING_DIGESTS.items():
+        assert digests[f"{variant}/{head}"] == digest
 
 
 class TestSpecsDescribeModel:

@@ -1,11 +1,12 @@
 import math
+import platform
 import sys
 
 import numpy as np
 import pytest
 
 import wavecnn.train
-from conftest import tiny_model, tone_corpus
+from conftest import TRAIN_ONCE, run_python, tiny_model, tone_corpus
 from wavecnn.data import Split, get_task
 from wavecnn.layers import softmax_xent
 from wavecnn.model import WITHOUT_INCEPTION, build_model
@@ -156,6 +157,34 @@ def trained_two_tone(seed=11):
     train(model, split_all_train(samples), IDS_VS_ADS,
           quick_config(max_epochs=60), clips, on_epoch=stop)
     return model, samples, clips
+
+
+# Minor page faults per sample a train() call may take once the process has
+# trained before.  With glibc's default heap settings every call returned the
+# freed working set to the kernel and faulted it in again: 336-986 per
+# without_inception sample.  Under the heap policy train() sets, most calls
+# take 1-8, but a call whose workers interleave into a new heap peak faults
+# in the growth, up to 192 per sample in 150 runs.  The gate takes the
+# fewest over three calls, since only growth varies and it does not recur.
+MAX_FAULTS_PER_SAMPLE = 50
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy is glibc's mallopt")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_repeated_train_calls_keep_the_heap_resident(threads):
+    script = TRAIN_ONCE + """
+import resource, sys
+threads = int(sys.argv[1])
+train_once(threads)
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    samples = train_once(threads)
+    faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / samples)
+print(min(faults))
+"""
+    assert float(run_python(script, str(threads))) < MAX_FAULTS_PER_SAMPLE
 
 
 class TestEvaluate:
