@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import WavecnnError
+
 SAMPLE_RATE = 8000
 CLIP_SAMPLES = 8000
 ANTI_ALIAS_CUTOFF_HZ = 3600.0
@@ -28,7 +30,7 @@ ANTI_ALIAS_TAPS = 65  # odd tap count gives an integer group delay
 MIN_KEEP_SAMPLES = 4000  # a trailing remainder of >= 0.5 s is kept and zero-padded
 
 
-class WavFormatError(ValueError):
+class WavFormatError(WavecnnError, ValueError):
     """Malformed or unsupported WAV input."""
 
 

@@ -5,7 +5,10 @@ Commands: prepare, train, eval, predict, params, gradcheck, synth.
 Runs are reproducible: training settings come from an optional key=value
 config file overridden by flags, and every train/eval run writes its fully
 resolved configuration next to its outputs.  Exit codes: 0 success, 1 partial
-data failure, 2 usage or configuration error.
+data failure, 2 usage, configuration or input error, 3 internal error.  Exit 2
+covers exactly the package's typed errors (``tensor.WavecnnError``) and
+``OSError``, printed as one ``error:`` line; any other exception is a bug,
+and its traceback is printed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
@@ -25,12 +29,13 @@ from .data import (TaskSpec, get_task, make_split, parse_manifest,
 from .gradcheck import TOLERANCE, run_full_check
 from .layers import softmax
 from .model import VARIANTS, build_model, load_weights, save_weights
-from .train import (ConfigError, TrainConfig, TrainingError, evaluate,
-                    load_clips, train)
+from .tensor import ConfigError, NonFiniteError, WavecnnError
+from .train import TrainConfig, evaluate, load_clips, train
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _SETTING_TYPES = get_type_hints(TrainConfig)  # the one type table for settings
 _CONFIG_KEYS = set(_SETTING_TYPES) | {"manifest", "out"}
@@ -136,7 +141,7 @@ def cmd_prepare(args) -> int:
                 cached = audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip)
                 rows.append((cached.name, sample.raw_label, sample.age_months,
                              sample.family_id))
-        except (audio.WavFormatError, OSError) as err:
+        except (WavecnnError, OSError) as err:
             failures.append(str(err))
             print(f"error: {err}", file=sys.stderr)
     write_manifest(out_manifest, rows)
@@ -203,7 +208,10 @@ def cmd_predict(args) -> int:
     model = load_weights(args.weights)
     names = _task_for(model, args.task).class_names if args.task else None
     clip = audio.load_clip(args.wav)
-    probs = softmax(model.forward(clip))
+    try:
+        probs = softmax(model.forward(clip))
+    except NonFiniteError as err:
+        raise NonFiniteError(f"{args.wav}: {err} under weights {args.weights}") from None
     for i, p in enumerate(probs):
         label = names[i] if names else f"class_{i}"
         print(f"{label}\t{p:.6f}")
@@ -325,12 +333,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, FloatingPointError,
-            TrainingError) as err:
-        # str() of a KeyError is the repr of its message
-        message = err.args[0] if isinstance(err, KeyError) and err.args else err
-        print(f"error: {message}", file=sys.stderr)
+    except (WavecnnError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        print("internal error: please report it with the traceback above", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

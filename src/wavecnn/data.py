@@ -19,14 +19,20 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import ConfigError, WavecnnError
+
 RAW_LABELS = ("laugh_cry", "canonical", "non_canonical", "ids", "ads")
 AGES_MONTHS = (3, 6, 9, 18)
 
 EXCLUDED = None  # mapping value for raw labels a task leaves out
 
 
-class ManifestError(ValueError):
+class ManifestError(WavecnnError, ValueError):
     """Malformed manifest content; the message carries the line number."""
+
+
+class UnknownTaskError(ConfigError, KeyError):
+    """No builtin task has the requested name."""
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,7 @@ def get_task(name: str) -> TaskSpec:
         if task.name == name:
             return task
     known = ", ".join(t.name for t in builtin_tasks())
-    raise KeyError(f"unknown task {name!r}; known tasks: {known}")
+    raise UnknownTaskError(f"unknown task {name!r}; known tasks: {known}")
 
 
 MANIFEST_HEADER = "clip_path,raw_label,age_months,family_id"
@@ -188,10 +194,10 @@ def make_split(samples, task: TaskSpec, policy: str = HOLDOUT, seed: int = 0,
     """
     kept = task.filter(samples)
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if policy == HOLDOUT:
         if not 0.0 < test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+            raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         train, test = [], []
         for cls in range(task.num_classes):
@@ -206,13 +212,13 @@ def make_split(samples, task: TaskSpec, policy: str = HOLDOUT, seed: int = 0,
         family = policy[len(LOFO_PREFIX):]
         families = {s.family_id for s in kept}
         if family not in families:
-            raise ValueError(f"family {family!r} not present; families: "
-                             f"{sorted(families)}")
+            raise ConfigError(f"family {family!r} not present; families: "
+                              f"{sorted(families)}")
         test = [s for s in kept if s.family_id == family]
         train = [s for s in kept if s.family_id != family]
         return Split(train, test, policy)
-    raise ValueError(f"unknown split policy {policy!r}; use '{HOLDOUT}' or "
-                     f"'{LOFO_PREFIX}<family_id>'")
+    raise ConfigError(f"unknown split policy {policy!r}; use '{HOLDOUT}' or "
+                      f"'{LOFO_PREFIX}<family_id>'")
 
 
 def batches(samples, batch_size: int, seed: int, epoch: int) -> list[list[Sample]]:

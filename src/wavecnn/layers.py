@@ -41,7 +41,7 @@ import numpy as np
 
 from .blas import gemm_acc
 from .optim import glorot_init
-from .tensor import ShapeError
+from .tensor import NonFiniteError, ShapeError
 
 VALID = "valid"
 SAME = "same"
@@ -584,10 +584,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Class probabilities of one logit vector.
 
     Exponentials are max-subtracted so large logits cannot overflow; a
-    non-finite logit raises FloatingPointError instead of yielding NaN.
+    non-finite logit raises NonFiniteError instead of yielding NaN.
     """
     if not np.all(np.isfinite(logits)):
-        raise FloatingPointError(f"non-finite logits: {logits}")
+        raise NonFiniteError(f"non-finite logits: {logits}")
     exps = np.exp(logits - logits.max())
     return exps / exps.sum()
 

@@ -46,7 +46,7 @@ import numpy as np
 from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
                      Dense, Flatten, InceptionNucleus, Layer, LayerSpec, MaxPool1D,
                      MaxPool2D, ReLU, run_backward, run_forward)
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, ConfigError, ShapeError, WavecnnError
 
 WITH_INCEPTION = "with_inception"
 WITHOUT_INCEPTION = "without_inception"
@@ -58,7 +58,7 @@ MAGIC = b"WVNC1"
 _HEADER = "<5sBII"
 
 
-class WeightsFormatError(ValueError):
+class WeightsFormatError(WavecnnError, ValueError):
     """A weights file is malformed or does not fit the architecture it names."""
 
 
@@ -293,7 +293,7 @@ def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
                 dense_head: bool = False, dtype=DTYPE) -> Model:
     """Build one of the two reference architectures for a given class count."""
     if variant not in _TABLES:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     return build_from_specs(_TABLES[variant](num_classes, dense_head), seed=seed, dtype=dtype)
 
 

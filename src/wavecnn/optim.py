@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DTYPE
+from .tensor import DTYPE, NonFiniteError
 
 # Adam's decay rates and denominator floor: the published defaults of
 # Kingma & Ba, "Adam: A Method for Stochastic Optimization" (ICLR 2015)
@@ -13,7 +13,7 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-class NonFiniteGradient(FloatingPointError):
+class NonFiniteGradient(NonFiniteError):
     """A gradient contained NaN or inf; the batch must be aborted."""
 
 
@@ -47,21 +47,27 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, grads: list[np.ndarray], names: list[str] | None = None) -> None:
+        """Update every parameter in place.  A non-finite gradient raises
+        NonFiniteGradient before anything changes; a step that leaves a
+        parameter non-finite raises NonFiniteError once that parameter is
+        updated.  Both name the parameter (``names[i]``, or its index)."""
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} gradients for {len(self.params)} parameters")
-        for i, g in enumerate(grads):
+        names = names or [f"parameter {i}" for i in range(len(grads))]
+        for name, g in zip(names, grads):
             if not np.all(np.isfinite(g)):
-                name = names[i] if names else f"parameter {i}"
                 raise NonFiniteGradient(f"non-finite gradient in {name}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        for name, p, g, m, v in zip(names, self.params, grads, self.m, self.v):
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
             p -= (self.lr / c1) * m / (np.sqrt(v / c2) + EPS)
+            if not np.isfinite(p).all():
+                raise NonFiniteError(f"non-finite values in {name} after the Adam step")
 
 
 def l2_penalty(weights: list[np.ndarray], lam: float):

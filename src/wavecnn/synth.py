@@ -17,6 +17,7 @@ import numpy as np
 
 from .audio import CLIP_SAMPLES, SAMPLE_RATE, write_wav
 from .data import AGES_MONTHS, RAW_LABELS, write_manifest
+from .tensor import ConfigError
 
 NYQUIST_HZ = SAMPLE_RATE / 2
 FAMILY_COLORATION = 0.4  # first-order filter coefficients are drawn from +-this
@@ -34,19 +35,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.num_classes < 1 or self.clips_per_class < 1:
-            raise ValueError("num_classes and clips_per_class must be >= 1")
+            raise ConfigError("num_classes and clips_per_class must be >= 1")
         if self.families < 1:
-            raise ValueError("families must be >= 1")
+            raise ConfigError("families must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
-            raise ValueError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
+            raise ConfigError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
         if not self.carrier_bands_hz:
             centers = np.linspace(400.0, 3200.0, self.num_classes)
             self.carrier_bands_hz = [(c - 100.0, c + 100.0) for c in centers]
         for lo, hi in self.carrier_bands_hz:
             if not 0.0 < lo < hi < NYQUIST_HZ:
-                raise ValueError(f"carrier band ({lo}, {hi}) outside (0, {NYQUIST_HZ}) Hz")
+                raise ConfigError(f"carrier band ({lo}, {hi}) outside (0, {NYQUIST_HZ}) Hz")
 
 
 def synth_clip(spec: SynthSpec, cls: int, family_coeff: float,

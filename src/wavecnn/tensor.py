@@ -1,8 +1,12 @@
-"""Array conventions shared by every other module.
+"""Array conventions and the error classes shared by every other module.
 
 Arrays are plain numpy ndarrays kept in row-major (C) order.  Training state
 uses float32; gradient checking uses float64, because central differences at
 step 1e-5 drown in float32 rounding noise.
+
+Every error the package raises on purpose derives from :class:`WavecnnError`
+and keeps the builtin base a caller expects; the command line reports these
+and ``OSError`` as the user's, and any other exception as a bug.
 """
 
 from __future__ import annotations
@@ -13,5 +17,19 @@ DTYPE = np.float32        # training precision
 CHECK_DTYPE = np.float64  # finite-difference precision
 
 
-class ShapeError(ValueError):
+class WavecnnError(Exception):
+    """Root of the package's typed errors: bad input, settings or run state."""
+
+    __str__ = BaseException.__str__  # the message, even under a KeyError base
+
+
+class ConfigError(WavecnnError, ValueError):
+    """A bad setting, flag or config file; the command line exits 2 on it."""
+
+
+class NonFiniteError(WavecnnError, FloatingPointError):
+    """A NaN or inf reached a value that must be finite."""
+
+
+class ShapeError(WavecnnError, ValueError):
     """An operation received arrays of incompatible or invalid shape."""

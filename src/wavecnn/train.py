@@ -44,6 +44,7 @@ from .data import HOLDOUT, Sample, Split, TaskSpec, batches, make_split
 from .layers import softmax_xent
 from .model import Model, build_model
 from .optim import Adam, l2_penalty
+from .tensor import ConfigError, NonFiniteError, WavecnnError
 
 
 @functools.cache
@@ -59,12 +60,8 @@ def _keep_heap_resident() -> None:
         mallopt(param, value)
 
 
-class TrainingError(RuntimeError):
+class TrainingError(WavecnnError, RuntimeError):
     """Training aborted; the message carries the epoch/batch position."""
-
-
-class ConfigError(ValueError):
-    """A bad setting, flag or config file; the command line exits 2 on it."""
 
 
 @dataclass
@@ -153,6 +150,8 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     history holds one dict per epoch: {"epoch", "loss", "train_acc"}, where
     loss is the epoch mean of batch losses including the L2 term.  The
     optional ``on_epoch(epoch, stats)`` callback can return True to stop.
+    A non-finite loss, logit, gradient or updated parameter raises
+    TrainingError naming the epoch and batch.
     """
     if not split.train:
         raise TrainingError("empty training set")
@@ -199,9 +198,9 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
                         acc[slot] += g
                     batch_loss = data_loss + l2_loss
                     if not np.isfinite(batch_loss):
-                        raise FloatingPointError("non-finite loss")
+                        raise NonFiniteError("non-finite loss")
                     optimizer.step(acc, names)
-                except FloatingPointError as err:
+                except NonFiniteError as err:
                     raise TrainingError(f"{err} at epoch {epoch} batch {batch_idx}") from err
                 epoch_loss += batch_loss
             epoch_loss /= len(epoch_batches)
@@ -226,7 +225,7 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
              threads: int = 1) -> EvalReport:
     """Accuracy, per-class accuracy, confusion matrix, and per-age breakdown.
 
-    Never mutates the model.  Raises FloatingPointError naming the clip when
+    Never mutates the model.  Raises NonFiniteError naming the clip when
     its logits are not finite.
     """
     if not test:
@@ -237,7 +236,7 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
     def predict(sample):
         logits = model.forward(clips[sample.clip_path])
         if not np.all(np.isfinite(logits)):
-            raise FloatingPointError(f"{sample.clip_path}: non-finite logits {logits}")
+            raise NonFiniteError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
     _keep_heap_resident()

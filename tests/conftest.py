@@ -16,12 +16,12 @@ from wavecnn.layers import LayerSpec
 from wavecnn.model import build_from_specs
 
 
-def wav_bytes(payload: bytes, audio_format=1, bits=16, rate=8000):
-    """A mono WAV whose data chunk is ``payload`` as given, whole samples or not."""
-    width = bits // 8
+def wav_bytes(payload: bytes, audio_format=1, bits=16, rate=8000, channels=1):
+    """A WAV whose data chunk is ``payload`` as given, whole samples or not."""
+    width = channels * bits // 8
     return struct.pack("<4sI4s4sIHHIIHH4sI",
                        b"RIFF", 36 + len(payload), b"WAVE",
-                       b"fmt ", 16, audio_format, 1, rate, rate * width, width, bits,
+                       b"fmt ", 16, audio_format, channels, rate, rate * width, width, bits,
                        b"data", len(payload)) + payload
 
 

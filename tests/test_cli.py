@@ -10,8 +10,10 @@ import pytest
 from conftest import float32_wav_bytes, wav_bytes
 from wavecnn import layers
 from wavecnn.audio import load_clip, read_clip_cache, write_wav
-from wavecnn.cli import EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main, read_config_file
+from wavecnn.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main,
+                         read_config_file)
 from wavecnn.data import parse_manifest, write_manifest
+from wavecnn.model import build_model, save_weights
 from wavecnn.synth import SynthSpec, generate
 
 
@@ -664,3 +666,74 @@ class TestTrainSettingsRejectedBeforeAnyFile:
         rc = main(train_args(cache, tmp_path / "run"))
         assert rc == EXIT_USAGE
         assert "error: non-finite loss at epoch 0 batch 0" in capsys.readouterr().err
+
+    def test_untyped_error_is_an_internal_error_with_its_traceback(self, cache, tmp_path,
+                                                                    capsys, monkeypatch):
+        from wavecnn import cli
+
+        def bug(*args, **kwargs):
+            raise ValueError("gemm_acc: c overlaps an input")
+
+        monkeypatch.setattr(cli, "train", bug)
+        assert main(train_args(cache, tmp_path / "run")) == EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "ValueError: gemm_acc: c overlaps an input" in err
+        assert "error: gemm_acc" not in err
+
+
+@pytest.fixture(scope="module")
+def overflowing_weights(tmp_path_factory):
+    """A 2-class model whose finite weights overflow float32 in the forward pass."""
+    model = build_model("without_inception", 2, seed=0)
+    for p in model.parameter_arrays():
+        p *= 1e30
+    path = tmp_path_factory.mktemp("overflow") / "weights.bin"
+    save_weights(model, path)
+    return path
+
+
+# Each of these raised a builtin ValueError, KeyError or FloatingPointError
+# that the command line used to catch wholesale; each now raises a typed error
+# and still exits 2 with the same message.  predict's message now also names
+# the WAV and the weights.
+TYPED_INPUT_ERRORS = {
+    "train --seed -1": "seed must be non-negative, got -1",
+    "train --split bogus": "unknown split policy 'bogus'; use 'holdout' or 'lofo:<family_id>'",
+    "train --split lofo:F99": "family 'F99' not present; families: ['F00', 'F01']",
+    "variant=foo": "unknown variant 'foo'; expected one of "
+                   "('with_inception', 'without_inception')",
+    "train --task bogus": "unknown task 'bogus'; known tasks: infant_vs_adult, ",
+    "synth --classes 0": "num_classes and clips_per_class must be >= 1",
+    "params --classes 1": "layer 22 (class_head, 1 channels) cannot end a model",
+    "eval overflowing weights": ".f32: non-finite logits [nan nan]",
+    "predict overflowing weights": "{wav}: non-finite logits: [nan nan] under weights {weights}",
+}
+
+
+@pytest.mark.parametrize("case", list(TYPED_INPUT_ERRORS))
+def test_typed_input_errors_exit_2_with_their_message(case, corpus, cache,
+                                                      overflowing_weights, tmp_path, capsys):
+    manifest, wav = str(cache / "manifest.csv"), parse_manifest(corpus[1])[0].clip_path
+    config = tmp_path / "run.cfg"
+    config.write_text("variant=foo\n")
+    args = {
+        "train --seed -1": train_args(cache, tmp_path / "run", ["--seed", "-1"]),
+        "train --split bogus": train_args(cache, tmp_path / "run", ["--split", "bogus"]),
+        "train --split lofo:F99": train_args(cache, tmp_path / "run", ["--split", "lofo:F99"]),
+        "variant=foo": ["train", "--config", str(config), "--manifest", manifest,
+                        "--task", "vocal_vs_nonvocal", "--out", str(tmp_path / "run")],
+        "train --task bogus": train_args(cache, tmp_path / "run", ["--task", "bogus"]),
+        "synth --classes 0": ["synth", "--out", str(tmp_path / "run"), "--classes", "0"],
+        "params --classes 1": ["params", "--variant", "without_inception", "--classes", "1"],
+        "eval overflowing weights": ["eval", "--weights", str(overflowing_weights),
+                                     "--manifest", manifest, "--task", "vocal_vs_nonvocal"],
+        "predict overflowing weights": ["predict", "--weights", str(overflowing_weights),
+                                        "--wav", wav],
+    }[case]
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert TYPED_INPUT_ERRORS[case].format(wav=wav, weights=overflowing_weights) in captured.err
+    assert not (tmp_path / "run").exists()

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from wavecnn.optim import Adam, NonFiniteGradient, glorot_init, l2_penalty
+from wavecnn.tensor import NonFiniteError
 
 
 class TestGlorot:
@@ -76,6 +77,13 @@ class TestAdam:
         bad = np.array([0.0, np.inf, 0.0])
         with pytest.raises(NonFiniteGradient, match="conv3.weight"):
             opt.step([bad], names=["conv3.weight"])
+
+    def test_step_that_overflows_a_parameter_names_it(self):
+        params = [np.ones(3, dtype=np.float32), np.ones(2, dtype=np.float32)]
+        opt = Adam(params, lr=1e38)  # lr / (1 - beta1) overflows float32
+        with pytest.raises(NonFiniteError,
+                           match=r"^non-finite values in conv3\.weight after the Adam step$"):
+            opt.step([np.ones(3), np.ones(2)], names=["conv3.weight", "conv3.bias"])
 
     def test_moment_shapes_mirror_parameters(self):
         params = [np.zeros((2, 3)), np.zeros(5)]

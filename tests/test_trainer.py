@@ -134,6 +134,15 @@ class TestTrainLoop:
                                                 r"at epoch 0 batch 0$"):
             train(model, split_all_train(samples), IDS_VS_ADS, quick_config(), clips)
 
+    def test_step_leaving_a_parameter_non_finite_reports_it(self, two_tone_corpus):
+        samples, clips = two_tone_corpus
+        model = tiny_model(2, seed=8)
+        first = model.parameter_names()[0]
+        config = quick_config(lr=1e38, max_epochs=1, batch_size=len(samples))
+        with pytest.raises(TrainingError, match=rf"^non-finite values in {first} after "
+                                                r"the Adam step at epoch 0 batch 0$"):
+            train(model, split_all_train(samples), IDS_VS_ADS, config, clips)
+
     def test_empty_training_set_rejected(self, two_tone_corpus):
         samples, clips = two_tone_corpus
         with pytest.raises(TrainingError, match="empty"):
@@ -185,6 +194,54 @@ for _ in range(3):
 print(min(faults))
 """
     assert float(run_python(script, str(threads))) < MAX_FAULTS_PER_SAMPLE
+
+
+# After two threads=2 train() calls, glibc's own bookkeeping: the heaps
+# malloc_info lists (one per arena; each worker thread would open its own
+# without the arena cap) and the mmapped chunks mallinfo2 counts across a
+# 24 MiB allocation (mmapped without the raised threshold).
+HEAP_LAYOUT = """
+import ctypes
+import numpy as np
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), Mallinfo2
+libc.open_memstream.argtypes = (ctypes.POINTER(ctypes.c_void_p),
+                                ctypes.POINTER(ctypes.c_size_t))
+libc.open_memstream.restype = ctypes.c_void_p
+libc.malloc_info.argtypes, libc.malloc_info.restype = (ctypes.c_int, ctypes.c_void_p), ctypes.c_int
+libc.fclose.argtypes, libc.fclose.restype = (ctypes.c_void_p,), ctypes.c_int
+libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+
+def heap_count():
+    buf, size = ctypes.c_void_p(), ctypes.c_size_t()
+    stream = libc.open_memstream(ctypes.byref(buf), ctypes.byref(size))
+    libc.malloc_info(0, stream)
+    libc.fclose(stream)
+    xml = ctypes.string_at(buf.value, size.value).decode()
+    libc.free(buf)
+    return xml.count("<heap nr=")
+
+train_once(2)
+train_once(2)
+before = libc.mallinfo2().hblks
+block = np.ones(3 << 20)  # 24 MiB of float64
+print(heap_count(), libc.mallinfo2().hblks - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or tuple(map(int, platform.libc_ver()[1].split(".")[:2])) < (2, 33),
+                    reason="the heap policy is glibc's mallopt; mallinfo2 needs glibc 2.33")
+def test_trained_process_has_one_arena_and_mmaps_no_large_block():
+    heaps, new_mmapped_chunks = map(int, run_python(TRAIN_ONCE + HEAP_LAYOUT).split())
+    assert heaps == 1  # M_ARENA_MAX = 1
+    assert new_mmapped_chunks == 0  # M_MMAP_THRESHOLD = 32 MiB
 
 
 class TestEvaluate:
