@@ -85,7 +85,8 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
         value -= (value & 0x800000) << 1  # sign extend
         samples = value.astype(np.float64) / float(1 << 23)
     elif audio_format == _IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signalling NaN, refused just below
+            samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
             raise WavFormatError(f"{path}: non-finite samples")
     else:

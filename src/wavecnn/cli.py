@@ -23,6 +23,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
+
 from . import audio, synth
 from .data import (TaskSpec, get_task, make_split, parse_manifest,
                    read_utf8_lines, write_manifest)
@@ -167,12 +169,15 @@ def cmd_train(args) -> int:
     clips = load_clips(task.filter(samples))
     run_dir = _run_dir(paths.get("out"), config)
     _write_resolved(run_dir, config, manifest)
-    history, stop_reason = train(model, split, task, config, clips)
+    # one line per epoch as it ends, so an aborted run keeps the epochs it finished
     with open(run_dir / "run_log.jsonl", "w") as log:
-        for stats in history:
+        def log_epoch(epoch, stats):
             log.write(json.dumps({"epoch": stats["epoch"],
                                   "loss": stats["loss"],
                                   "train_acc": stats["train_acc"]}) + "\n")
+            log.flush()
+
+        history, stop_reason = train(model, split, task, config, clips, log_epoch)
     save_weights(model, run_dir / "weights.bin")
     report = evaluate(model, split.test, task, clips, threads=config.threads)
     (run_dir / "report.json").write_text(report.to_json() + "\n")
@@ -209,7 +214,8 @@ def cmd_predict(args) -> int:
     names = _task_for(model, args.task).class_names if args.task else None
     clip = audio.load_clip(args.wav)
     try:
-        probs = softmax(model.forward(clip))
+        with np.errstate(over="ignore", invalid="ignore"):  # softmax refuses the result
+            probs = softmax(model.forward(clip))
     except NonFiniteError as err:
         raise NonFiniteError(f"{args.wav}: {err} under weights {args.weights}") from None
     for i, p in enumerate(probs):

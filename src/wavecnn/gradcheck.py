@@ -16,7 +16,7 @@ import numpy as np
 
 from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
                      Dense, Flatten, InceptionNucleus, LayerSpec, MaxPool1D,
-                     MaxPool2D, ReLU, softmax_xent)
+                     MaxPool2D, ReLU, param_slots, softmax_xent)
 from .model import build_from_specs
 from .tensor import CHECK_DTYPE
 
@@ -59,8 +59,7 @@ def check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> dict[str, flo
 
     dx, grads = layer.backward(tape, upstream)
     errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x))}
-    slots = [(owner, role) for owner in layer.param_owners() for role in ("weight", "bias")]
-    for (owner, role), grad in zip(slots, grads):
+    for (owner, role), grad in zip(param_slots([layer]), grads):
         errors[f"{owner.name}.{role}"] = max_rel_error(
             grad, _numeric_grad(scalar, owner.params[role]))
     return errors

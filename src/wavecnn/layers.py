@@ -27,7 +27,7 @@ Conventions, fixed package-wide:
 - Layers hold no per-call state: between construction and a change of
   ``params`` they are read-only, so any number of threads may run forwards
   and backwards on one layer at once, each with its own tapes.
-  :func:`run_forward` and :func:`run_backward` walk a layer list.
+  :func:`run_forward`, :func:`run_backward` and :func:`param_slots` walk layers.
 - Weighted layers draw Glorot-uniform weights from the ``rng`` they are
   given; with ``rng=None`` they draw nothing and start at zero, for models
   whose parameters are loaded or shared right after.
@@ -115,6 +115,14 @@ class Layer:
 
     def param_owners(self) -> list["Layer"]:
         return [self] if self.params else []
+
+
+def param_slots(layers: list[Layer]) -> list[tuple[Layer, str]]:
+    """Every parameter of ``layers`` as ``(owner, role)``: each owner in
+    ``param_owners()`` order, its weight then its bias.  Parameter arrays,
+    their names, gradients and weights-file records all follow this order."""
+    return [(owner, role) for lyr in layers for owner in lyr.param_owners()
+            for role in ("weight", "bias")]
 
 
 def run_forward(layers: list[Layer], x: np.ndarray, cache: bool):

@@ -22,12 +22,12 @@ Weights file format ("WVNC1", little-endian throughout):
              | extents u32 * rank | values float32 * prod(extents)
 
 ``variant_tag``: 0 = with_inception, 1 = without_inception; +2 when the model
-uses the dense head.  Owners are parameter-carrying layers in traversal
-order (inception branches contribute their convs in branch order); each owner
-contributes exactly one weight and one bias record.  Round-trips bit-exactly.
-A file that breaks any of these rules, holds a NaN or inf value, or does
-not match the architecture its header names, raises
-:class:`WeightsFormatError` naming the file and the cause.
+uses the dense head.  Records come in slot order (``layers.param_slots``):
+the owners, parameter-carrying layers in traversal order (inception branches
+in branch order), each its weight then its bias, so record k holds owner
+k // 2, role k % 2.  Round-trips bit-exactly.  A file that breaks any of
+these rules, holds a NaN or inf value, or does not fit the architecture its
+header names raises :class:`WeightsFormatError` naming the file and cause.
 
 Seeds: ``build_model``/``build_from_specs`` with an integer seed draw
 Glorot-uniform weights, bitwise the same for the same seed.  With
@@ -45,7 +45,7 @@ import numpy as np
 
 from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
                      Dense, Flatten, InceptionNucleus, Layer, LayerSpec, MaxPool1D,
-                     MaxPool2D, ReLU, run_backward, run_forward)
+                     MaxPool2D, ReLU, param_slots, run_backward, run_forward)
 from .tensor import DTYPE, ConfigError, ShapeError, WavecnnError
 
 WITH_INCEPTION = "with_inception"
@@ -175,15 +175,11 @@ class Model:
     def param_owners(self) -> list[Layer]:
         return [owner for lyr in self.layers for owner in lyr.param_owners()]
 
-    def _param_slots(self) -> list[tuple[Layer, str]]:
-        return [(owner, role) for owner in self.param_owners()
-                for role in ("weight", "bias")]
-
     def parameter_arrays(self) -> list[np.ndarray]:
-        return [owner.params[role] for owner, role in self._param_slots()]
+        return [owner.params[role] for owner, role in param_slots(self.layers)]
 
     def parameter_names(self) -> list[str]:
-        return [f"{owner.name}.{role}" for owner, role in self._param_slots()]
+        return [f"{owner.name}.{role}" for owner, role in param_slots(self.layers)]
 
     def param_count(self) -> int:
         return int(sum(p.size for p in self.parameter_arrays()))
@@ -299,10 +295,6 @@ def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
 
 # -- weights serialization ---------------------------------------------------
 
-_ROLES = {"weight": 0, "bias": 1}
-_ROLE_NAMES = {v: k for k, v in _ROLES.items()}
-
-
 def save_weights(model: Model, path) -> None:
     """Write ``model`` as a WVNC1 file.  A custom architecture, which the
     header cannot name, or a non-finite parameter raises ValueError naming
@@ -313,16 +305,13 @@ def save_weights(model: Model, path) -> None:
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite values in {name}; not written")
     variant_tag = VARIANTS.index(model.config.variant) + (2 if model.config.dense_head else 0)
-    owners = model.param_owners()
     with open(path, "wb") as fh:
         fh.write(struct.pack(_HEADER, MAGIC, variant_tag,
-                             model.config.num_classes, len(owners)))
-        for idx, owner in enumerate(owners):
-            for role in ("weight", "bias"):
-                arr = owner.params[role]
-                fh.write(struct.pack("<IBB", idx, _ROLES[role], arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f4", copy=False).tobytes())
+                             model.config.num_classes, len(model.param_owners())))
+        for k, arr in enumerate(model.parameter_arrays()):
+            fh.write(struct.pack("<IBB", k // 2, k % 2, arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            fh.write(arr.astype("<f4", copy=False).tobytes())
 
 
 def load_weights(path) -> Model:
@@ -330,9 +319,8 @@ def load_weights(path) -> Model:
     every parameter from its records.
 
     Raises WeightsFormatError, naming the file and the cause, for anything
-    but a complete well-formed file for that architecture.  The file holds
-    exactly two records per owner, so a slot written twice leaves another
-    never written; the duplicate is what gets reported.
+    but a complete well-formed file for that architecture.  Record k must
+    hold the owner index, role and shape of parameter slot k.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -359,34 +347,26 @@ def load_weights(path) -> Model:
                   f"the file's values can hold")
     model = build_model(VARIANTS[variant_tag % 2], num_classes, seed=None,
                         dense_head=variant_tag >= 2)
-    owners = model.param_owners()
-    if len(owners) != owner_count:
+    if len(model.param_owners()) != owner_count:
         raise bad(f"file declares {owner_count} parameter owners, "
-                  f"architecture has {len(owners)}")
-    written = set()
-    for _ in range(2 * owner_count):
+                  f"architecture has {len(model.param_owners())}")
+    for k, (owner, role) in enumerate(param_slots(model.layers)):
+        start = pos
         (idx, role_tag, rank), pos = unpack("<IBB", pos, "record header")
         shape, pos = unpack(f"<{rank}I", pos, "record extents")
-        if idx >= owner_count:
-            raise bad(f"owner index {idx} out of range for {owner_count} owners")
-        role = _ROLE_NAMES.get(role_tag)
-        if role is None:
-            raise bad(f"owner {idx}: unknown role {role_tag}")
-        if (idx, role) in written:
-            raise bad(f"owner {idx} {role} written twice")
-        written.add((idx, role))
-        target = owners[idx].params[role]
-        if shape != target.shape:
-            raise bad(f"owner {idx} {role}: file shape {shape} != "
-                      f"model shape {target.shape}")
+        target = owner.params[role]
+        slot = f"owner {k // 2} {role}"
+        if (idx, role_tag, shape) != (k // 2, k % 2, target.shape):
+            raise bad(f"record at byte {start} holds owner {idx}, role {role_tag}, shape "
+                      f"{shape}; slot {k} wants {slot} (role {k % 2}), shape {target.shape}")
         end = pos + 4 * target.size
         if end > len(blob):
-            raise bad(f"owner {idx} {role}: values at byte {pos} run past the "
+            raise bad(f"{slot}: values at byte {pos} run past the "
                       f"end of the {len(blob)}-byte file")
         target[...] = np.frombuffer(blob, dtype="<f4", count=target.size,
                                     offset=pos).reshape(shape)
         if not np.isfinite(target).all():
-            raise bad(f"owner {idx} {role}: non-finite values")
+            raise bad(f"{slot}: non-finite values")
         pos = end
     if pos != len(blob):
         raise bad(f"{len(blob) - pos} trailing bytes after parameter records")

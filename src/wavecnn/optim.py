@@ -65,7 +65,8 @@ class Adam:
             m += (1.0 - BETA1) * g
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
-            p -= (self.lr / c1) * m / (np.sqrt(v / c2) + EPS)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                p -= (self.lr / c1) * m / (np.sqrt(v / c2) + EPS)
             if not np.isfinite(p).all():
                 raise NonFiniteError(f"non-finite values in {name} after the Adam step")
 

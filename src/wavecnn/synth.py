@@ -10,7 +10,7 @@ generated manifests drop straight into the dataset tooling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from .audio import CLIP_SAMPLES, SAMPLE_RATE, write_wav
 from .data import AGES_MONTHS, RAW_LABELS, write_manifest
 from .tensor import ConfigError
 
-NYQUIST_HZ = SAMPLE_RATE / 2
 FAMILY_COLORATION = 0.4  # first-order filter coefficients are drawn from +-this
 PEAK = 0.9               # post-normalization waveform peak
 
@@ -28,7 +27,6 @@ PEAK = 0.9               # post-normalization waveform peak
 class SynthSpec:
     num_classes: int = 3
     clips_per_class: int = 50
-    carrier_bands_hz: list[tuple[float, float]] = field(default_factory=list)
     noise_floor: float = 0.1          # noise amplitude relative to the unit tone
     families: int = 3
     seed: int = 0
@@ -42,12 +40,12 @@ class SynthSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
             raise ConfigError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
-        if not self.carrier_bands_hz:
-            centers = np.linspace(400.0, 3200.0, self.num_classes)
-            self.carrier_bands_hz = [(c - 100.0, c + 100.0) for c in centers]
-        for lo, hi in self.carrier_bands_hz:
-            if not 0.0 < lo < hi < NYQUIST_HZ:
-                raise ConfigError(f"carrier band ({lo}, {hi}) outside (0, {NYQUIST_HZ}) Hz")
+
+    @property
+    def carrier_bands_hz(self) -> list[tuple[float, float]]:
+        """Each class's 200 Hz carrier band, centred on an even 400-3200 Hz grid."""
+        centers = np.linspace(400.0, 3200.0, self.num_classes)
+        return [(c - 100.0, c + 100.0) for c in centers]
 
 
 def synth_clip(spec: SynthSpec, cls: int, family_coeff: float,

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import audio
 from .data import HOLDOUT, Sample, Split, TaskSpec, batches, make_split
-from .layers import softmax_xent
+from .layers import param_slots, softmax_xent
 from .model import Model, build_model
 from .optim import Adam, l2_penalty
 from .tensor import ConfigError, NonFiniteError, WavecnnError
@@ -151,7 +151,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     loss is the epoch mean of batch losses including the L2 term.  The
     optional ``on_epoch(epoch, stats)`` callback can return True to stop.
     A non-finite loss, logit, gradient or updated parameter raises
-    TrainingError naming the epoch and batch.
+    TrainingError naming the epoch and batch, and the clip or parameter at fault.
     """
     if not split.train:
         raise TrainingError("empty training set")
@@ -159,7 +159,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
         clips = load_clips(split.train)
     params = model.parameter_arrays()
     names = model.parameter_names()
-    weight_slots = [i for i, name in enumerate(names) if name.endswith(".weight")]
+    weight_slots = [i for i, (_, role) in enumerate(param_slots(model.layers)) if role == "weight"]
     weights = [params[i] for i in weight_slots]
     optimizer = Adam(params, lr=config.lr)
     history = []
@@ -169,9 +169,14 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
 
     def run(sample):
         y = task.class_of(sample)
-        logits, tape = model.forward(clips[sample.clip_path], cache=True)
-        loss, probs, dlogits = softmax_xent(logits, y)
-        return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
+        # softmax_xent or Adam.step refuses an overflow; errstate is per thread
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits, tape = model.forward(clips[sample.clip_path], cache=True)
+            try:
+                loss, probs, dlogits = softmax_xent(logits, y)
+            except NonFiniteError as err:
+                raise NonFiniteError(f"{err} for clip {sample.clip_path}") from None
+            return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
 
     _keep_heap_resident()
     # pool.map yields results in submission order, so the gradient reduction
@@ -234,7 +239,8 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
         clips = load_clips(test)
 
     def predict(sample):
-        logits = model.forward(clips[sample.clip_path])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            logits = model.forward(clips[sample.clip_path])
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))

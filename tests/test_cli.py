@@ -1,12 +1,16 @@
 import codecs
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wavecnn
 from conftest import float32_wav_bytes, wav_bytes
 from wavecnn import layers
 from wavecnn.audio import load_clip, read_clip_cache, write_wav
@@ -198,6 +202,25 @@ class TestTrain:
         assert set(entry) == {"epoch", "loss", "train_acc"}
         report = json.loads((run / "report.json").read_text())
         assert report["chance_percent"] == 50.0
+
+    def test_aborted_run_keeps_the_epochs_it_finished(self, cache, tmp_path, capsys,
+                                                      monkeypatch):
+        from wavecnn.optim import Adam
+        from wavecnn.tensor import NonFiniteError
+
+        step = Adam.step
+
+        def fail_in_epoch_1(self, grads, names=None):
+            if self.t == 1:  # one batch per epoch, so this is epoch 1's step
+                raise NonFiniteError("non-finite gradient in a parameter")
+            step(self, grads, names)
+
+        monkeypatch.setattr(Adam, "step", fail_in_epoch_1)
+        run = tmp_path / "run"
+        assert main(train_args(cache, run, ["--batch", "64"])) == EXIT_USAGE
+        assert "at epoch 1 batch 0" in capsys.readouterr().err
+        lines = (run / "run_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0]
 
     def test_missing_manifest_exits_2_naming_path(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "nowhere.csv"),
@@ -433,9 +456,9 @@ class TestEvalPredictParams:
 
     @pytest.mark.parametrize("offset,patch,cause", [
         (16, None, "record header at byte 14 runs past the end"),
-        (14, struct.pack("<I", 999), "owner index 999 out of range"),
-        (18, b"\x07", "unknown role 7"),
-        (1322, b"\x00", "owner 0 weight written twice"),  # owner 1's weight record
+        (14, struct.pack("<I", 999), "record at byte 14 holds owner 999, role 0"),
+        (18, b"\x07", "record at byte 14 holds owner 0, role 7"),
+        (1322, b"\x00", "record at byte 1322 holds owner 0, role 0"),  # owner 1's weight
         (2150814, struct.pack("<f", np.inf), "owner 8 bias: non-finite values"),  # last value
     ], ids=["cut to 16 bytes", "owner index 999", "role 7", "duplicate owner", "inf value"])
     def test_malformed_weights_exit_2_naming_file(self, run_dir, tmp_path, capsys,
@@ -737,3 +760,49 @@ def test_typed_input_errors_exit_2_with_their_message(case, corpus, cache,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert TYPED_INPUT_ERRORS[case].format(wav=wav, weights=overflowing_weights) in captured.err
     assert not (tmp_path / "run").exists()
+
+
+def run_cli(*args):
+    """The command line run by a fresh interpreter, with Python's default
+    warning filters, so that a numpy RuntimeWarning prints on stderr as it
+    would for a user; returns the completed process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wavecnn.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", "import sys; from wavecnn.cli import main; "
+                           "sys.exit(main(sys.argv[1:]))", *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+# Each case overflows float32 on finite input, or casts a signalling NaN; the
+# package refuses the non-finite result, and numpy's RuntimeWarnings must not
+# print ahead of that refusal's one error line.  Case -> exit code.
+REFUSED_NON_FINITE = {
+    "train --lr 1e38": EXIT_USAGE,
+    "eval --threads 2 overflowing weights": EXIT_USAGE,
+    "predict overflowing weights": EXIT_USAGE,
+    "prepare signalling NaN": EXIT_PARTIAL,
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_NON_FINITE))
+def test_refused_non_finite_value_prints_one_error_line(case, corpus, cache,
+                                                        overflowing_weights, tmp_path):
+    manifest, wav = str(cache / "manifest.csv"), parse_manifest(corpus[1])[0].clip_path
+    signalling_nan = struct.pack("<I", 0x7F800001)
+    payload = np.array([0.1, 0.2], dtype="<f4").tobytes() + signalling_nan
+    (tmp_path / "snan.wav").write_bytes(wav_bytes(payload, audio_format=3, bits=32))
+    write_manifest(tmp_path / "snan.csv", [("snan.wav", "canonical", 6, "F00")])
+    args = {
+        "train --lr 1e38": train_args(cache, tmp_path / "run", ["--lr", "1e38"]),
+        "eval --threads 2 overflowing weights": [
+            "eval", "--weights", str(overflowing_weights), "--manifest", manifest,
+            "--task", "vocal_vs_nonvocal", "--threads", "2"],
+        "predict overflowing weights": ["predict", "--weights", str(overflowing_weights),
+                                        "--wav", wav],
+        "prepare signalling NaN": ["prepare", "--manifest", str(tmp_path / "snan.csv"),
+                                   "--out", str(tmp_path / "cache")],
+    }[case]
+    proc = run_cli(*args)
+    assert proc.returncode == REFUSED_NON_FINITE[case]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

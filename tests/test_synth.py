@@ -17,10 +17,6 @@ class TestSynthSpec:
         for lo, hi in spec.carrier_bands_hz:
             assert 0 < lo < hi < SAMPLE_RATE / 2
 
-    def test_band_above_nyquist_rejected(self):
-        with pytest.raises(ValueError, match="carrier band"):
-            SynthSpec(num_classes=1, carrier_bands_hz=[(3900.0, 4100.0)])
-
     @pytest.mark.parametrize("noise", [np.nan, np.inf, -0.1])
     def test_noise_floor_must_be_finite_and_non_negative(self, noise):
         with pytest.raises(ValueError, match="noise_floor"):

@@ -119,6 +119,16 @@ class TestTrainLoop:
                            match=r"^non-finite logits: .* at epoch 0 batch 0$"):
             train(model, split_all_train(samples), IDS_VS_ADS, quick_config(), clips)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_logits_name_the_clip(self, two_tone_corpus, threads):
+        samples, clips = two_tone_corpus
+        clips = dict(clips)
+        clips[samples[3].clip_path] = np.full(8000, np.nan, dtype=np.float32)
+        with pytest.raises(TrainingError, match=rf"^non-finite logits: .* for clip "
+                                                rf"{samples[3].clip_path} at epoch 0 batch \d+$"):
+            train(tiny_model(2), split_all_train(samples), IDS_VS_ADS,
+                  quick_config(threads=threads), clips)
+
     def test_non_finite_gradient_reports_parameter_epoch_and_batch(self, two_tone_corpus,
                                                                    monkeypatch):
         samples, clips = two_tone_corpus
