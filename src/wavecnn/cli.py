@@ -14,6 +14,7 @@ and its traceback is printed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,7 +271,11 @@ def cmd_synth(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs about ten times
+    what parsing with it does.  It holds no handler; :func:`main` looks up
+    ``cmd_<command>`` when it runs, so a later rebinding of one counts."""
     parser = argparse.ArgumentParser(
         prog="wavecnn",
         description="Raw-waveform CNN audio classification pipeline")
@@ -288,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prepare", help="ingest WAVs into the standardized clip cache")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="cache directory (default clip_cache)")
-    p.set_defaults(fn=cmd_prepare)
 
     p = sub.add_parser("train", help="train a model and write weights + reports")
     add_run_flags(p)
@@ -299,29 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=dest, type=_SETTING_TYPES[dest])
     p.add_argument("--split", help="holdout or lofo:<family_id>")
     p.add_argument("--dense-head", action="store_true", default=None)
-    p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate stored weights on a manifest")
     p.add_argument("--weights", required=True)
     add_run_flags(p)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="class probabilities for one WAV file")
     p.add_argument("--weights", required=True)
     p.add_argument("--wav", required=True)
     p.add_argument("--task", help="label the classes using this task's names")
-    p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("params", help="parameter count for an architecture")
     p.add_argument("--variant", choices=list(VARIANTS), required=True)
     p.add_argument("--classes", type=int, default=10)
     p.add_argument("--dense-head", action="store_true")
-    p.set_defaults(fn=cmd_params)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every layer kind")
     p.add_argument("--layers", default="all", help="comma list or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--out", required=True)
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=int, default=3)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_synth)
     return parser
 
 
@@ -338,7 +336,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (WavecnnError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

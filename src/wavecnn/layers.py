@@ -18,12 +18,18 @@ Conventions, fixed package-wide:
   ``backward(tape, upstream)`` returns ``(dx, grads)``: the gradient w.r.t.
   the input and, for each owner in ``param_owners()``, its weight gradient
   then its bias gradient (``[]`` for a layer without parameters).
-- What a tape keeps, arrays and shapes only: a convolution its flat padded
-  input (shift path) or its im2col columns; ReLU a bool mask of ``out > 0``;
-  a max-pool the input shape and, per window, the index of the first
-  position holding the max, in the smallest unsigned dtype that fits (uint8
-  for every pool of both architectures).  ReLU and the pools keep no
-  reference to their float input or output.
+- What a tape keeps, arrays and shapes only: a convolution its padded
+  input, flat on the shift path, and rebuilds the im2col columns in
+  backward rather than keep maps kh*kw times larger (the im2col path keeps
+  the input itself when it needs no padding, so that input must stay
+  unchanged until backward); ReLU a bool mask of ``out > 0``; a max-pool
+  the input shape and, per window, the index of the first position holding
+  the max, in the smallest unsigned dtype that fits (uint8 for every pool
+  of both architectures).  ReLU and the pools keep no reference to their
+  float input or output.
+- A tape serves one backward.  A convolution's backward empties its tape
+  (a list) and frees each of its buffers after their last read, before
+  allocating the gradient buffers that follow.
 - Layers hold no per-call state: between construction and a change of
   ``params`` they are read-only, so any number of threads may run forwards
   and backwards on one layer at once, each with its own tapes.
@@ -182,7 +188,7 @@ class Conv2D(Layer):
     accumulates straight into the output (forward) or the input gradient
     (backward) inside BLAS, through :func:`~wavecnn.blas.gemm_acc`.  The
     rest take the im2col path.  Every call allocates its own buffers, so a
-    tape stays valid however many other calls run before its backward.
+    tape stays valid however many other calls run before its one backward.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
@@ -265,22 +271,27 @@ class Conv2D(Layer):
                 gemm_acc(wk[di, dj], xf[:, off:off + span], acc[:, :span])
         out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw].copy()
         out += self.params["bias"][:, None, None]
-        return out, (xf, x.shape, (hp, wp), pads, (nh, nw))
+        return out, [xf, x.shape, (hp, wp), pads, (nh, nw)]
 
     def _backward_shift(self, upstream, tape):
         xf, x_shape, (hp, wp), pads, (nh, nw) = tape
+        tape.clear()
         (kh, kw) = self.kernel
         grid = np.zeros((self.out_ch, nh * wp), dtype=upstream.dtype)
         grid.reshape(self.out_ch, nh, wp)[:, :, :nw] = upstream
         span = nh * wp
         wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
+        taps = [(di, dj, di * wp + dj) for di in range(kh) for dj in range(kw)]
         dw = np.empty((self.out_ch, self.in_ch, kh, kw), dtype=upstream.dtype)
-        dxf = np.zeros(xf.shape, dtype=upstream.dtype)
-        for di in range(kh):
-            for dj in range(kw):
-                off = di * wp + dj
-                dw[:, :, di, dj] = grid @ xf[:, off:off + span].T
-                gemm_acc(wk[di, dj].T, grid, dxf[:, off:off + span])
+        for di, dj, off in taps:
+            dw[:, :, di, dj] = grid @ xf[:, off:off + span].T
+        # the weight gradient was xf's last reader: free it before dxf exists
+        flat_shape = xf.shape
+        del xf
+        dxf = np.zeros(flat_shape, dtype=upstream.dtype)
+        for di, dj, off in taps:
+            gemm_acc(wk[di, dj].T, grid, dxf[:, off:off + span])
+        del grid
         dxp = dxf[:, :hp * wp].reshape(self.in_ch, hp, wp)
         (pt, _), (pl, _) = pads
         return dw, dxp[:, pt:pt + x_shape[1], pl:pl + x_shape[2]].copy()
@@ -291,18 +302,19 @@ class Conv2D(Layer):
         (kh, kw), (sh, sw) = self.kernel, self.stride
         pads = self._pads(x.shape)
         xp = np.pad(x, ((0, 0),) + pads) if any(p for pair in pads for p in pair) else x
-        cols = _cols_2d(xp, kh, kw, sh, sw)
-        out = self._weight().reshape(self.out_ch, -1) @ cols
+        out = self._weight().reshape(self.out_ch, -1) @ _cols_2d(xp, kh, kw, sh, sw)
         out += self.params["bias"][:, None]
-        return out.reshape(self.out_ch, nh, nw), (cols, x.shape, xp.shape, pads, (nh, nw))
+        return out.reshape(self.out_ch, nh, nw), [xp, x.shape, pads, (nh, nw)]
 
     def _backward_cols(self, upstream, tape):
-        cols, x_shape, xp_shape, pads, (nh, nw) = tape
+        xp, x_shape, pads, (nh, nw) = tape
+        tape.clear()
         up_mat = upstream.reshape(self.out_ch, nh * nw)
         w_mat = self._weight().reshape(self.out_ch, -1)
-        dw = up_mat @ cols.T
+        # the columns are kh*kw times the padded input: rebuilt, not kept
+        dw = up_mat @ _cols_2d(xp, *self.kernel, *self.stride).T
         dcols = (w_mat.T @ up_mat).reshape(self.in_ch, -1, nh, nw)
-        dxp = np.zeros(xp_shape, dtype=upstream.dtype)
+        dxp = np.zeros(xp.shape, dtype=upstream.dtype)
         for k, dst in enumerate(_offset_views(dxp, self.kernel, self.stride, nh, nw)):
             dst += dcols[:, k]
         (pt, _), (pleft, _) = pads

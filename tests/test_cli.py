@@ -12,7 +12,7 @@ import pytest
 
 import wavecnn
 from conftest import float32_wav_bytes, wav_bytes
-from wavecnn import layers
+from wavecnn import cli, layers
 from wavecnn.audio import load_clip, read_clip_cache, write_wav
 from wavecnn.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main,
                          read_config_file)
@@ -679,7 +679,6 @@ class TestTrainSettingsRejectedBeforeAnyFile:
         assert not out.exists()
 
     def test_training_error_exits_2(self, cache, tmp_path, capsys, monkeypatch):
-        from wavecnn import cli
         from wavecnn.train import TrainingError
 
         def abort(*args, **kwargs):
@@ -692,8 +691,6 @@ class TestTrainSettingsRejectedBeforeAnyFile:
 
     def test_untyped_error_is_an_internal_error_with_its_traceback(self, cache, tmp_path,
                                                                     capsys, monkeypatch):
-        from wavecnn import cli
-
         def bug(*args, **kwargs):
             raise ValueError("gemm_acc: c overlaps an input")
 
@@ -772,6 +769,25 @@ def run_cli(*args):
     return subprocess.run([sys.executable, "-c", "import sys; from wavecnn.cli import main; "
                            "sys.exit(main(sys.argv[1:]))", *args],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_commands_in_one_process_print_what_fresh_processes_print(capsys, monkeypatch):
+    """main() reuses one parser per process: a flag of one call must not
+    carry into the next, and a command rebound after the parser was built
+    (as a tracer wraps it) must be the one that runs."""
+    commands = [["params", "--variant", "without_inception", "--classes", "3", "--dense-head"],
+                ["gradcheck", "--layers", "relu,maxpool1d"],
+                ["params", "--variant", "with_inception", "--classes", "3"]]
+    for args in commands:
+        assert main(args) == EXIT_OK
+        fresh = run_cli(*args)
+        assert fresh.returncode == EXIT_OK
+        assert capsys.readouterr().out == fresh.stdout
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_params", lambda args: calls.append(args.variant) or EXIT_OK)
+    assert main(["params", "--variant", "with_inception"]) == EXIT_OK
+    assert calls == ["with_inception"]
 
 
 # Each case overflows float32 on finite input, or casts a signalling NaN; the

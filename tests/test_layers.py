@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -132,6 +134,38 @@ def test_uncached_forward_between_forward_and_backward_changes_nothing(make, in_
     dx, (dw, _) = layer.backward(tape, upstream)
     npt.assert_array_equal(dw, dw_ref)
     npt.assert_array_equal(dx, dx_ref)
+
+
+def traced_backward_peak(layer, in_shape):
+    """Traced peak in bytes of ``layer.backward`` on float32 input of
+    ``in_shape``, counting the tape it spends but not its upstream gradient."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(in_shape).astype(np.float32)
+    upstream = rng.standard_normal(layer.out_shape(in_shape)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out, tape = layer.forward(x, cache=True)
+        del x, out
+        tracemalloc.reset_peak()
+        layer.backward(tape, upstream)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# with_inception's L05 (in=1, im2col path) and L10 (shift path) at their
+# shapes in the model.  Measured: L05 6.9 MiB when its tape kept the im2col
+# columns, 4.0 MiB keeping the padded input; L10 23.6 MiB when backward held
+# the padded input, its gradient and the upstream grid at once, 12.0 MiB
+# freeing each once read for the last time.
+@pytest.mark.parametrize("in_ch, out_ch, in_shape, bound_mib", [
+    (1, 32, (1, 192, 491), 5),
+    (64, 64, (64, 96, 245), 14),
+], ids=["L05-im2col", "L10-shift"])
+def test_conv_backward_peak_frees_the_tape(in_ch, out_ch, in_shape, bound_mib):
+    layer = Conv2D(in_ch, out_ch, (3, 3), (1, 1), SAME, np.random.default_rng(1), np.float32)
+    assert layer.shift == (in_ch > 1)
+    assert traced_backward_peak(layer, in_shape) <= bound_mib * 2**20
 
 
 class TestMaxPool:
