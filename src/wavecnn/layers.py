@@ -27,6 +27,9 @@ Conventions, fixed package-wide:
   the max, in the smallest unsigned dtype that fits (uint8 for every pool
   of both architectures).  ReLU and the pools keep no reference to their
   float input or output.
+- A shift-path convolution returns its output as a view: the contiguous
+  front of its GEMM accumulator, into which it compacts each channel's
+  valid columns.  The accumulator stays alive while that view does.
 - A tape serves one backward.  A convolution's backward empties its tape
   (a list) and frees each of its buffers after their last read, before
   allocating the gradient buffers that follow.
@@ -51,6 +54,9 @@ from .tensor import NonFiniteError, ShapeError
 
 VALID = "valid"
 SAME = "same"
+
+# bytes of accumulator rows a shift-path forward compacts per numpy call
+_COMPACT_BYTES = 1 << 20
 
 
 @dataclass
@@ -269,25 +275,40 @@ class Conv2D(Layer):
             for dj in range(kw):
                 off = di * wp + dj
                 gemm_acc(wk[di, dj], xf[:, off:off + span], acc[:, :span])
-        out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw].copy()
-        out += self.params["bias"][:, None, None]
-        return out, [xf, x.shape, (hp, wp), pads, (nh, nw)]
+        # compact each channel's nw valid columns, plus bias, to the front of
+        # acc, a bounded block of channels per call: a block's destination
+        # ends before any later block's source starts, and numpy buffers the
+        # overlap within one block
+        rows, flat = acc.reshape(self.out_ch, nh, wp), acc.reshape(-1)
+        bias = self.params["bias"]
+        step = max(1, _COMPACT_BYTES // (nh * wp * acc.itemsize))
+        for c in range(0, self.out_ch, step):
+            e = min(c + step, self.out_ch)
+            np.add(rows[c:e, :, :nw], bias[c:e, None, None],
+                   out=flat[c * nh * nw:e * nh * nw].reshape(e - c, nh, nw))
+        return (flat[:self.out_ch * nh * nw].reshape(self.out_ch, nh, nw),
+                [xf, x.shape, (hp, wp), pads, (nh, nw)])
 
     def _backward_shift(self, upstream, tape):
         xf, x_shape, (hp, wp), pads, (nh, nw) = tape
         tape.clear()
         (kh, kw) = self.kernel
-        grid = np.zeros((self.out_ch, nh * wp), dtype=upstream.dtype)
-        grid.reshape(self.out_ch, nh, wp)[:, :, :nw] = upstream
         span = nh * wp
-        wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
+        # the upstream as (span, out) rows, zero on the junk columns, so each
+        # tap's weight gradient is the plain GEMM xf[:, off:off + span] @ grid_t
+        grid_t = np.zeros((span, self.out_ch), dtype=upstream.dtype)
+        grid_t.reshape(nh, wp, self.out_ch)[:, :nw] = upstream.transpose(1, 2, 0)
         taps = [(di, dj, di * wp + dj) for di in range(kh) for dj in range(kw)]
         dw = np.empty((self.out_ch, self.in_ch, kh, kw), dtype=upstream.dtype)
         for di, dj, off in taps:
-            dw[:, :, di, dj] = grid @ xf[:, off:off + span].T
-        # the weight gradient was xf's last reader: free it before dxf exists
+            dw[:, :, di, dj] = (xf[:, off:off + span] @ grid_t).T
+        # the weight gradient was the last reader of xf and grid_t: free both
+        # before the input gradient's grid and dxf exist
         flat_shape = xf.shape
-        del xf
+        del xf, grid_t
+        grid = np.zeros((self.out_ch, span), dtype=upstream.dtype)
+        grid.reshape(self.out_ch, nh, wp)[:, :, :nw] = upstream
+        wk = np.ascontiguousarray(self._weight().transpose(2, 3, 0, 1))
         dxf = np.zeros(flat_shape, dtype=upstream.dtype)
         for di, dj, off in taps:
             gemm_acc(wk[di, dj].T, grid, dxf[:, off:off + span])

@@ -75,7 +75,15 @@ def _relu():
 
 
 def with_inception_layers(num_classes: int, dense_head: bool = False) -> list[LayerSpec]:
-    """Architecture column with the multi-kernel nucleus (~302 K parameters)."""
+    """Architecture column with the multi-kernel nucleus (~302 K parameters).
+
+    Each 2x2 max-pool runs before the ReLU that follows its conv.  That is
+    the conv -> ReLU -> pool network bit for bit: max and ReLU are both
+    non-decreasing and pass NaN through, so relu(max(w)) == max(relu(w)),
+    and a window's gradient reaches its first max only where that max is
+    positive, in either order.  ReLU then runs on, and keeps a mask of, maps
+    4x smaller.
+    """
     branch_small = [_conv1d(64, 4, 4), _relu()]
     branch_mid = [_conv1d(64, 8, 4), _relu(), _conv1d(64, 8, 1), _relu()]
     branch_wide = [_conv1d(64, 16, 4), _relu(), _conv1d(64, 16, 1), _relu()]
@@ -84,13 +92,13 @@ def with_inception_layers(num_classes: int, dense_head: bool = False) -> list[La
         LayerSpec("inception_nucleus", branches=[branch_small, branch_mid, branch_wide]),
         LayerSpec("maxpool1d", kernel=(10,), stride=(1,)),
         LayerSpec("reshape_channels_first"),
-        _conv2d(32, 3, 1), _relu(),
-        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
+        _conv2d(32, 3, 1),
+        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)), _relu(),
         _conv2d(64, 3, 1), _relu(),
-        _conv2d(64, 3, 1), _relu(),
-        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
-        _conv2d(128, 3, 1), _relu(),
-        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)),
+        _conv2d(64, 3, 1),
+        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)), _relu(),
+        _conv2d(128, 3, 1),
+        LayerSpec("maxpool2d", kernel=(2, 2), stride=(2, 2)), _relu(),
         *_head_layers(3, num_classes, dense_head),
     ]
 
@@ -225,9 +233,11 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, prev_kind) -> Layer
     if kind == "maxpool2d":
         return MaxPool2D(spec.kernel, spec.stride, name=tag)
     if kind == "relu":
-        # in-place only after a convolution or dense layer, whose output is
-        # a fresh buffer that nothing else references
-        return ReLU(inplace=prev_kind in ("conv1d", "conv2d", "dense"))
+        # in-place only after a layer whose output is a fresh buffer that
+        # nothing else references; a pool's tape holds only its input shape
+        # and the first-max index, built before the ReLU runs
+        return ReLU(inplace=prev_kind in ("conv1d", "conv2d", "dense", "maxpool1d",
+                                          "maxpool2d"))
     if kind == "reshape_channels_first":
         return ChannelsFirstReshape()
     if kind == "flatten":

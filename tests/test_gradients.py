@@ -49,8 +49,8 @@ def test_different_seeds_stay_below_tolerance():
 
 
 def test_pool_followed_by_relu_composite():
-    # exercises the builder's aliasing guard: relu after a pooling layer must
-    # not run in place over the pool's cached output
+    # a relu after a pooling layer runs in place: the pool's output is a
+    # fresh buffer, and its tape keeps only the input shape and first-max index
     from wavecnn.layers import LayerSpec, softmax_xent
     from wavecnn.model import build_from_specs
     from wavecnn.gradcheck import _numeric_grad
@@ -61,7 +61,7 @@ def test_pool_followed_by_relu_composite():
              LayerSpec("relu"),
              LayerSpec("class_head", channels=3)]
     model = build_from_specs(specs, input_samples=24, seed=6, dtype=CHECK_DTYPE)
-    assert not model.layers[2].inplace
+    assert model.layers[2].inplace
     x = rng.standard_normal(24).astype(CHECK_DTYPE)
 
     def scalar():
