@@ -169,6 +169,8 @@ def cmd_train(args) -> int:
                         dense_head=config.dense_head)
     clips = load_clips(task.filter(samples))
     run_dir = _run_dir(paths.get("out"), config)
+    for stale in ("weights.bin", "report.json", "report.csv"):  # left by an earlier run
+        (run_dir / stale).unlink(missing_ok=True)
     _write_resolved(run_dir, config, manifest)
     # one line per epoch as it ends, so an aborted run keeps the epochs it finished
     with open(run_dir / "run_log.jsonl", "w") as log:

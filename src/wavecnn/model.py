@@ -38,8 +38,10 @@ model exists only to be filled (``load_weights``) or to be described
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -308,20 +310,29 @@ def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
 def save_weights(model: Model, path) -> None:
     """Write ``model`` as a WVNC1 file.  A custom architecture, which the
     header cannot name, or a non-finite parameter raises ValueError naming
-    the file (and ``<owner>.<role>``); no file is opened."""
+    the file (and ``<owner>.<role>``); no file is opened.
+
+    The bytes go to ``<path>.tmp``, which then replaces ``path``, so a write
+    that fails or is killed leaves any earlier file whole."""
     if model.config.variant not in VARIANTS:
         raise ValueError(f"{path}: a custom architecture has no WVNC1 variant tag; not written")
     for name, arr in zip(model.parameter_names(), model.parameter_arrays()):
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: non-finite values in {name}; not written")
     variant_tag = VARIANTS.index(model.config.variant) + (2 if model.config.dense_head else 0)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(_HEADER, MAGIC, variant_tag,
-                             model.config.num_classes, len(model.param_owners())))
-        for k, arr in enumerate(model.parameter_arrays()):
-            fh.write(struct.pack("<IBB", k // 2, k % 2, arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f4", copy=False).tobytes())
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack(_HEADER, MAGIC, variant_tag,
+                                 model.config.num_classes, len(model.param_owners())))
+            for k, arr in enumerate(model.parameter_arrays()):
+                fh.write(struct.pack("<IBB", k // 2, k % 2, arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f4", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_weights(path) -> Model:

@@ -6,11 +6,13 @@ step.  Training stops at ``max_epochs`` or once the relative loss improvement
 stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
 
 Every thread count runs the same code: each :func:`train` or
-:func:`evaluate` call opens one pool of ``threads`` workers and maps every
-sample through it.  The workers all run on the one model: a cached forward
+:func:`evaluate` call maps every sample through one :func:`_runner`, which
+owns the heap policy below, a pool of ``threads`` workers and each worker's
+numpy error state.  The workers all run on the one model: a cached forward
 returns its tape rather than storing it on the layers, and backward returns
-the gradients.  The pool yields results in sample order, so gradients are
-reduced in that order and results do not depend on the worker count.
+the gradients.  The runner yields results in sample order, so gradients are
+reduced in that order and results do not depend on the worker count.  No
+command holds a runner across calls: a pool opens in under a millisecond.
 
 Heap policy.  The first :func:`train` or :func:`evaluate` call in a process
 sets glibc's allocator, through ``mallopt``, for the rest of that process:
@@ -30,6 +32,7 @@ them.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -58,6 +61,20 @@ def _keep_heap_resident() -> None:
     # <malloc.h>: M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD -1, M_ARENA_MAX -8
     for param, value in ((-3, 32 << 20), (-1, -1), (-8, 1)):
         mallopt(param, value)
+
+
+@contextlib.contextmanager
+def _runner(threads: int):
+    """Set the heap policy and yield ``each(fn, samples)``, which maps ``fn``
+    over ``threads`` workers in sample order.  Overflow warnings are off in
+    each call: errstate is per thread, and callers refuse non-finite results."""
+    _keep_heap_resident()
+    def quiet(fn, sample):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(sample)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield lambda fn, samples: pool.map(functools.partial(quiet, fn), samples)
 
 
 class TrainingError(WavecnnError, RuntimeError):
@@ -167,21 +184,16 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     stop_reason = f"max_epochs {config.max_epochs}"
     prev_loss = None
 
-    def run(sample):
+    def run(sample):  # softmax_xent or Adam.step refuses an overflow
         y = task.class_of(sample)
-        # softmax_xent or Adam.step refuses an overflow; errstate is per thread
-        with np.errstate(over="ignore", invalid="ignore"):
-            logits, tape = model.forward(clips[sample.clip_path], cache=True)
-            try:
-                loss, probs, dlogits = softmax_xent(logits, y)
-            except NonFiniteError as err:
-                raise NonFiniteError(f"{err} for clip {sample.clip_path}") from None
-            return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
+        logits, tape = model.forward(clips[sample.clip_path], cache=True)
+        try:
+            loss, probs, dlogits = softmax_xent(logits, y)
+        except NonFiniteError as err:
+            raise NonFiniteError(f"{err} for clip {sample.clip_path}") from None
+        return loss, int(np.argmax(probs) == y), model.backward(tape, dlogits)
 
-    _keep_heap_resident()
-    # pool.map yields results in submission order, so the gradient reduction
-    # is ordered no matter the worker count
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    with _runner(config.threads) as each:
         for epoch in range(config.max_epochs):
             epoch_loss = 0.0
             hits = 0
@@ -190,7 +202,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
                 acc = [np.zeros_like(p) for p in params]
                 data_loss = 0.0
                 try:
-                    for loss, hit, grads in pool.map(run, batch):
+                    for loss, hit, grads in each(run, batch):
                         data_loss += loss
                         hits += hit
                         for a, g in zip(acc, grads):
@@ -239,15 +251,13 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
         clips = load_clips(test)
 
     def predict(sample):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            logits = model.forward(clips[sample.clip_path])
+        logits = model.forward(clips[sample.clip_path])
         if not np.all(np.isfinite(logits)):
             raise NonFiniteError(f"{sample.clip_path}: non-finite logits {logits}")
         return int(np.argmax(logits))
 
-    _keep_heap_resident()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        preds = np.array(list(pool.map(predict, test)), dtype=np.int64)
+    with _runner(threads) as each:
+        preds = np.array(list(each(predict, test)), dtype=np.int64)
     truth = np.array([task.class_of(s) for s in test], dtype=np.int64)
     k = task.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)

@@ -215,12 +215,16 @@ class TestTrain:
                 raise NonFiniteError("non-finite gradient in a parameter")
             step(self, grads, names)
 
-        monkeypatch.setattr(Adam, "step", fail_in_epoch_1)
         run = tmp_path / "run"
+        assert main(train_args(cache, run)) == EXIT_OK  # a finished run, then a re-run
+        monkeypatch.setattr(Adam, "step", fail_in_epoch_1)
         assert main(train_args(cache, run, ["--batch", "64"])) == EXIT_USAGE
         assert "at epoch 1 batch 0" in capsys.readouterr().err
         lines = (run / "run_log.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in lines] == [0]
+        assert "batch_size=64" in (run / "config.resolved").read_text()
+        for name in ("weights.bin", "report.json", "report.csv"):
+            assert not (run / name).exists(), name
 
     def test_missing_manifest_exits_2_naming_path(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "nowhere.csv"),

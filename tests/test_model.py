@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -574,6 +575,25 @@ class TestSerialization:
         path = tmp_path / "weights.bin"
         save_weights(build_model(variant, 3, seed=0, dense_head=dense_head), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_failed_save_leaves_the_earlier_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "weights.bin"
+        save_weights(build_model(WITHOUT_INCEPTION, 2, seed=1), path)
+        saved = path.read_bytes()
+        records = []
+
+        def pack(fmt, *values):
+            if fmt == "<IBB":
+                records.append(values)
+                if len(records) == 3:
+                    raise OSError("no space left on device")
+            return struct.pack(fmt, *values)
+
+        monkeypatch.setattr("wavecnn.model.struct", SimpleNamespace(pack=pack))
+        with pytest.raises(OSError, match="no space"):
+            save_weights(build_model(WITHOUT_INCEPTION, 2, seed=2), path)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["weights.bin"]
 
     def test_magic_header(self, tmp_path):
         model = build_model(WITHOUT_INCEPTION, 2)

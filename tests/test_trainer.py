@@ -1,6 +1,8 @@
 import math
 import platform
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,13 @@ from wavecnn.model import WITHOUT_INCEPTION, build_model
 from wavecnn.train import TrainConfig, TrainingError, evaluate, lofo_sweep, train
 
 IDS_VS_ADS = get_task("ids_vs_ads")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def quick_config(**overrides):
@@ -128,6 +137,19 @@ class TestTrainLoop:
                                                 rf"{samples[3].clip_path} at epoch 0 batch \d+$"):
             train(tiny_model(2), split_all_train(samples), IDS_VS_ADS,
                   quick_config(threads=threads), clips)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflow_in_a_worker_prints_no_warning(self, two_tone_corpus, threads):
+        samples, clips = two_tone_corpus
+        model = tiny_model(2)
+        for p in model.parameter_arrays():
+            p *= 1e30
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingError, match=r"for clip .* at epoch 0 batch 0$"):
+                train(model, split_all_train(samples), IDS_VS_ADS,
+                      quick_config(threads=threads), clips)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_non_finite_gradient_reports_parameter_epoch_and_batch(self, two_tone_corpus,
                                                                    monkeypatch):
