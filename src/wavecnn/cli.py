@@ -196,13 +196,16 @@ def cmd_eval(args) -> int:
     if config.threads < 1:  # the one setting eval reads besides the task
         raise ConfigError(f"threads must be >= 1, got {config.threads}")
     manifest = _require_manifest(paths.get("manifest"))
+    if paths.get("out") and (Path(paths["out"]) / "run_log.jsonl").exists():
+        # its config.resolved reproduces that training run: keep it
+        raise ConfigError(f"--out {paths['out']} holds a training run")
     model = load_weights(args.weights)
     config.variant, config.dense_head = model.config.variant, model.config.dense_head
     task = _task_for(model, config.task)
     samples = task.filter(parse_manifest(manifest))
     if not samples:
         raise ConfigError(f"no samples participate in task {task.name}")
-    report = evaluate(model, samples, task, threads=config.threads)
+    report = evaluate(model, samples, task, load_clips(samples), threads=config.threads)
     if paths.get("out"):
         run_dir = _run_dir(paths["out"], config)
         _write_resolved(run_dir, config, manifest, f"weights={args.weights}")

@@ -11,8 +11,10 @@ Conventions, fixed package-wide:
   "same" padding pads so that n = ceil(T / stride), with the extra sample
   on the right when the total is odd.  Pooling never pads.
 - The 1-D layers are the H=1 case of the 2-D ones: :class:`Conv1D` and
-  :class:`MaxPool1D` run :class:`Conv2D` and :class:`MaxPool2D` on the
-  (C, 1, T) view of a (C, T) map, with kernel (1, k) and stride (1, s).
+  :class:`MaxPool1D` are :class:`Conv2D` and :class:`MaxPool2D` with kernel
+  (1, k) and stride (1, s), and differ only in the rank their ``out_shape``
+  accepts.  The 2-D layers' one ``forward`` and ``backward`` take a (C, T)
+  map as its (C, 1, T) image and answer in the caller's rank.
 - ``forward(x)`` returns the output; ``forward(x, cache=True)`` returns
   ``(out, tape)``, where the tape holds what backward needs of that call.
   ``backward(tape, upstream)`` returns ``(dx, grads)``: the gradient w.r.t.
@@ -22,11 +24,12 @@ Conventions, fixed package-wide:
   input, flat on the shift path, and rebuilds the im2col columns in
   backward rather than keep maps kh*kw times larger (the im2col path keeps
   the input itself when it needs no padding, so that input must stay
-  unchanged until backward); ReLU a bool mask of ``out > 0``; a max-pool
-  the input shape and, per window, the index of the first position holding
-  the max, in the smallest unsigned dtype that fits (uint8 for every pool
-  of both architectures).  ReLU and the pools keep no reference to their
-  float input or output.
+  unchanged until backward), then last the input's shape in the caller's
+  rank; ReLU a bool mask of ``out > 0``; a max-pool the input shape in the
+  caller's rank and, per window of the image, the index of the first
+  position holding the max, in the smallest unsigned dtype that fits (uint8
+  for every pool of both architectures).  ReLU and the pools keep no
+  reference to their float input or output.
 - A shift-path convolution returns its output as a view: the contiguous
   front of its GEMM accumulator, into which it compacts each channel's
   valid columns.  The accumulator stays alive while that view does.
@@ -178,6 +181,11 @@ def _cols_2d(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return win.reshape(ch * kh * kw, nh * nw)
 
 
+def _image(a: np.ndarray) -> np.ndarray:
+    """A (C, H, W) map as itself, a (C, T) map as its (C, 1, T) view."""
+    return a.reshape(a.shape[0], -1, a.shape[-1])
+
+
 def _offset_views(x: np.ndarray, kernel, stride, nh: int, nw: int) -> list[np.ndarray]:
     """Per kernel offset (di, dj), row-major, the (C, nh, nw) view x[:, i*sh+di, j*sw+dj]."""
     (kh, kw), (sh, sw) = kernel, stride
@@ -230,30 +238,22 @@ class Conv2D(Layer):
         return self.params["weight"].reshape((self.out_ch, self.in_ch) + self.kernel)
 
     def forward(self, x, cache=False):
-        _, nh, nw = self.out_shape(x.shape)
-        out, tape = self._forward(x, nh, nw)
+        shape = self.out_shape(x.shape)
+        nh, nw = (1, *shape[1:])[-2:]  # a (C, T) map's image has H = 1
+        # the tape only names buffers the arithmetic allocates anyway
+        run = self._forward_shift if self.shift else self._forward_cols
+        out, tape = run(_image(x), nh, nw)
+        tape.append(x.shape)
+        out = out.reshape(shape)
         return (out, tape) if cache else out
 
     def backward(self, tape, upstream):
-        return self._backward(tape, upstream)
-
-    # _forward/_backward hold the arithmetic.  Conv1D calls them on its
-    # (C, 1, T) view rather than forward/backward, so one 1-D call stays one
-    # layer call to anything that wraps those methods, such as bench/spans.py.
-    # _forward always builds the tape: it only names buffers the arithmetic
-    # allocates anyway.
-
-    def _forward(self, x, nh, nw):
-        if self.shift:
-            return self._forward_shift(x, nh, nw)
-        return self._forward_cols(x, nh, nw)
-
-    def _backward(self, tape, upstream):
-        if self.shift:
-            dw, dx = self._backward_shift(upstream, tape)
-        else:
-            dw, dx = self._backward_cols(upstream, tape)
-        return dx, [dw.reshape(self.params["weight"].shape), upstream.sum(axis=(1, 2))]
+        x_shape = tape.pop()
+        upstream = _image(upstream)
+        run = self._backward_shift if self.shift else self._backward_cols
+        dw, dx = run(upstream, tape)
+        return dx.reshape(x_shape), [dw.reshape(self.params["weight"].shape),
+                                     upstream.sum(axis=(1, 2))]
 
     # -- stride-1 path: one GEMM per kernel offset on the flat padded image --
 
@@ -347,8 +347,8 @@ class Conv1D(Conv2D):
 
     out[c, t] = bias[c] + sum_{i,j} w[c, i, j] * x_padded[i, t*stride + j]
 
-    Runs as :class:`Conv2D` on the (in_ch, 1, T) view with kernel (1, k) and
-    stride (1, s); the weight and its gradient stay (out_ch, in_ch, k).
+    :class:`Conv2D` with kernel (1, k) and stride (1, s), run on the
+    (in_ch, 1, T) image; the weight and its gradient stay (out_ch, in_ch, k).
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int,
@@ -362,15 +362,6 @@ class Conv1D(Conv2D):
             raise ShapeError(f"{self.name}: expected ({self.in_ch}, T), got {in_shape}")
         ch, _, n = super().out_shape((in_shape[0], 1, in_shape[1]))
         return (ch, n)
-
-    def forward(self, x, cache=False):
-        _, n = self.out_shape(x.shape)
-        out, tape = self._forward(x[:, None], 1, n)
-        return (out[:, 0], tape) if cache else out[:, 0]
-
-    def backward(self, tape, upstream):
-        dx, grads = self._backward(tape, upstream[:, None])
-        return dx[:, 0], grads
 
 
 class MaxPool2D(Layer):
@@ -390,31 +381,26 @@ class MaxPool2D(Layer):
         return (in_shape[0], nh, nw)
 
     def forward(self, x, cache=False):
-        _, nh, nw = self.out_shape(x.shape)
-        out, tape = self._forward(x, nh, nw, cache)
-        return (out, tape) if cache else out
-
-    def backward(self, tape, upstream):
-        return self._backward(tape, upstream), []
-
-    def _forward(self, x, nh, nw, cache):
-        """(out, tape); the tape is None unless ``cache``, since building it
-        costs a pass over every window."""
-        slices = _offset_views(x, self.kernel, self.stride, nh, nw)
+        shape = self.out_shape(x.shape)
+        nh, nw = (1, *shape[1:])[-2:]
+        slices = _offset_views(_image(x), self.kernel, self.stride, nh, nw)
         out = slices[0].copy()
         for s in slices[1:]:
             np.maximum(out, s, out=out)
-        return out, ((x.shape, _first_max(slices, out), (nh, nw)) if cache else None)
+        if not cache:  # the tape costs a pass over every window
+            return out.reshape(shape)
+        return out.reshape(shape), (x.shape, _first_max(slices, out), (nh, nw))
 
-    def _backward(self, tape, upstream):
+    def backward(self, tape, upstream):
         shape, first, (nh, nw) = tape
         dx = np.zeros(shape, dtype=upstream.dtype)
+        upstream = _image(upstream)
         hit = np.empty(first.shape, dtype=bool)
         # += keeps overlapping windows accumulating into a shared position
-        for k, dst in enumerate(_offset_views(dx, self.kernel, self.stride, nh, nw)):
+        for k, dst in enumerate(_offset_views(_image(dx), self.kernel, self.stride, nh, nw)):
             np.equal(first, k, out=hit)
             dst += upstream * hit
-        return dx
+        return dx, []
 
 
 def _first_max(slices: list[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -440,8 +426,8 @@ def _first_max(slices: list[np.ndarray], out: np.ndarray) -> np.ndarray:
 class MaxPool1D(MaxPool2D):
     """Sliding max over (C, T); gradient routes to the first argmax per window.
 
-    Runs as :class:`MaxPool2D` on the (C, 1, T) view with kernel (1, k) and
-    stride (1, s).
+    :class:`MaxPool2D` with kernel (1, k) and stride (1, s), run on the
+    (C, 1, T) image.
     """
 
     def __init__(self, kernel: int, stride: int, name: str = "maxpool1d"):
@@ -452,14 +438,6 @@ class MaxPool1D(MaxPool2D):
             raise ShapeError(f"{self.name}: expected rank 2, got {in_shape}")
         ch, _, n = super().out_shape((in_shape[0], 1, in_shape[1]))
         return (ch, n)
-
-    def forward(self, x, cache=False):
-        _, n = self.out_shape(x.shape)
-        out, tape = self._forward(x[:, None], 1, n, cache)
-        return (out[:, 0], tape) if cache else out[:, 0]
-
-    def backward(self, tape, upstream):
-        return self._backward(tape, upstream[:, None])[:, 0], []
 
 
 class ReLU(Layer):

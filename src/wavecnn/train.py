@@ -37,6 +37,7 @@ import ctypes
 import functools
 import json
 import math
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -161,8 +162,9 @@ def load_clips(samples: list[Sample]) -> dict[str, np.ndarray]:
 
 
 def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
-          clips: dict[str, np.ndarray] | None = None, on_epoch=None):
-    """Train in place; returns (history, stop_reason).
+          clips: Mapping[str, np.ndarray], on_epoch=None):
+    """Train in place on the waveforms ``clips`` maps each clip path to, as
+    :func:`load_clips` reads them; returns (history, stop_reason).
 
     history holds one dict per epoch: {"epoch", "loss", "train_acc"}, where
     loss is the epoch mean of batch losses including the L2 term.  The
@@ -172,8 +174,6 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
     """
     if not split.train:
         raise TrainingError("empty training set")
-    if clips is None:
-        clips = load_clips(split.train)
     params = model.parameter_arrays()
     names = model.parameter_names()
     weight_slots = [i for i, (_, role) in enumerate(param_slots(model.layers)) if role == "weight"]
@@ -238,8 +238,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
 
 
 def evaluate(model: Model, test: list[Sample], task: TaskSpec,
-             clips: dict[str, np.ndarray] | None = None,
-             threads: int = 1) -> EvalReport:
+             clips: Mapping[str, np.ndarray], threads: int = 1) -> EvalReport:
     """Accuracy, per-class accuracy, confusion matrix, and per-age breakdown.
 
     Never mutates the model.  Raises NonFiniteError naming the clip when
@@ -247,8 +246,6 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
     """
     if not test:
         raise ValueError("empty test set")
-    if clips is None:
-        clips = load_clips(test)
 
     def predict(sample):
         logits = model.forward(clips[sample.clip_path])
@@ -290,8 +287,8 @@ class LofoResult:
 
 
 def lofo_sweep(samples: list[Sample], task: TaskSpec, config: TrainConfig,
-               clips: dict[str, np.ndarray] | None = None,
-               on_epoch=None, model_factory=None) -> LofoResult:
+               clips: Mapping[str, np.ndarray], on_epoch=None,
+               model_factory=None) -> LofoResult:
     """Train once per held-out family plus one random-holdout baseline.
 
     ``model_factory()`` supplies fresh untrained models; by default the
@@ -302,8 +299,6 @@ def lofo_sweep(samples: list[Sample], task: TaskSpec, config: TrainConfig,
     if len(families) < 2:
         raise ValueError(f"leave-one-family-out needs >= 2 families, "
                          f"got {families}")
-    if clips is None:
-        clips = load_clips(kept)
 
     reports = {}
     for family in [*families, None]:  # None: the random-holdout baseline, run last

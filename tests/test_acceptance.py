@@ -89,7 +89,7 @@ def test_overfit_one_batch(tmp_path):
     model = build_model("without_inception", 2, seed=0)
     config = TrainConfig(task=task.name, variant="without_inception", batch_size=2,
                          max_epochs=200, seed=0, lam=0.0, lr=1e-3)
-    history, _ = train(model, split, task, config,
+    history, _ = train(model, split, task, config, load_clips(samples),
                        on_epoch=lambda e, s: s["loss"] < 0.01)
     final = history[-1]["loss"]
     report("overfit-one-batch sanity", final < 0.01 and len(history) <= 200,

@@ -424,6 +424,18 @@ class TestEvalPredictParams:
         for name in ("report.json", "config.resolved"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_eval_into_a_training_run_exits_2_and_keeps_its_files(self, cache, run_dir,
+                                                                   capsys):
+        kept = {name: (run_dir / name).read_bytes()
+                for name in ("config.resolved", "report.json", "report.csv")}
+        rc = main(["eval", "--weights", str(run_dir / "weights.bin"),
+                   "--manifest", str(cache / "manifest.csv"),
+                   "--task", "vocal_vs_nonvocal", "--out", str(run_dir)])
+        assert rc == EXIT_USAGE
+        assert str(run_dir) in capsys.readouterr().err
+        for name, data in kept.items():
+            assert (run_dir / name).read_bytes() == data, name
+
     def test_predict_probabilities_sum_to_one(self, corpus, run_dir, capsys):
         root, manifest = corpus
         wav = parse_manifest(manifest)[0].clip_path

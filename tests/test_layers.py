@@ -137,6 +137,22 @@ def test_uncached_forward_between_forward_and_backward_changes_nothing(make, in_
     npt.assert_array_equal(dx, dx_ref)
 
 
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("make, in_shape", [
+    (lambda: Conv1D(2, 3, 3, 2, VALID, None, F64, name="c1d_cols"), (2, 4, 10)),
+    (lambda: Conv1D(9, 2, 8, 1, SAME, None, F64, name="c1d_shift"), (9, 4, 10)),
+    (lambda: MaxPool1D(2, 2, name="p1d"), (2, 4, 10)),
+    (lambda: Conv2D(2, 3, (3, 3), (2, 2), VALID, None, F64, name="c2d_cols"), (2, 10)),
+    (lambda: Conv2D(8, 4, (3, 3), (1, 1), SAME, None, F64, name="c2d_shift"), (8, 10)),
+    (lambda: MaxPool2D((2, 2), (2, 2), name="p2d"), (2, 10)),
+], ids=["conv1d", "conv1d_shift", "maxpool1d", "conv2d", "conv2d_shift", "maxpool2d"])
+def test_conv_and_pool_refuse_a_map_of_the_other_rank(make, in_shape, cache):
+    # one forward serves both ranks, so each layer's out_shape keeps its own
+    layer = make()
+    with pytest.raises(ShapeError, match=layer.name):
+        layer.forward(np.zeros(in_shape), cache=cache)
+
+
 def traced_backward_peak(layer, in_shape):
     """Traced peak in bytes of ``layer.backward`` on float32 input of
     ``in_shape``, counting the tape it spends but not its upstream gradient."""

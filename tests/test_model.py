@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import re
 import struct
@@ -189,10 +190,7 @@ class TestConvPath:
     @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
     def test_conv2d_path_matches_the_bench_work_count(self, variant):
         # bench/workcount.py mirrors the path rule to size each layer's GEMM
-        bench = str(Path(__file__).resolve().parent.parent / "bench")
-        if bench not in sys.path:
-            sys.path.append(bench)
-        from workcount import conv2d_gemm
+        conv2d_gemm = bench_module("workcount").conv2d_gemm
 
         model = build_model(variant, 3, seed=None)
         shapes = [shape for _, shape in model.trace_shapes()]
@@ -396,6 +394,27 @@ class TestForwardBackward:
             tracemalloc.stop()
         assert peak <= 29 * 2**20
 
+    def test_each_layer_call_opens_one_traced_span(self):
+        # bench/spans.py wraps forward and backward on every layer class that
+        # defines them; a layer method that called another wrapped one would
+        # open two spans per call, and the bench would count its FLOPs twice
+        spans = bench_module("spans")
+        model = build_model(WITH_INCEPTION, 3, seed=0)
+        tracer = spans.Tracer({name: importlib.import_module(f"wavecnn.{name}")
+                               for name in spans.TRACED_MODULES})
+        tracer.install(models=[model])
+        try:
+            logits, tape = model.forward(
+                np.random.default_rng(0).standard_normal(8000).astype(np.float32), cache=True)
+            model.backward(tape, np.ones_like(logits))
+        finally:
+            tracer.uninstall()
+        names = [s.name for s in tracer.spans if s.name.startswith("layers.L")]
+        expected = {f"layers.{key}.{spec.kind}.{phase}"
+                    for key, _, spec, _, _ in spans.walk_layers(model)
+                    for phase in ("fwd", "bwd")}
+        assert sorted(names) == sorted(expected)
+
     @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
     @pytest.mark.parametrize("head", ["gap", "dense"])
     def test_training_steps_match_pinned_digest(self, training_digests, variant, head):
@@ -407,6 +426,14 @@ class TestForwardBackward:
         assert model.parameter_arrays()[0] is clone.parameter_arrays()[0]
         x = np.random.default_rng(2).standard_normal(8000).astype(np.float32)
         npt.assert_array_equal(model.forward(x), clone.forward(x))
+
+
+def bench_module(name):
+    """Import one of the bench harness's modules from the repo's bench/."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    return importlib.import_module(name)
 
 
 def walk_layers(layer_list):
