@@ -20,16 +20,8 @@ Conventions, fixed package-wide:
   ``backward(tape, upstream)`` returns ``(dx, grads)``: the gradient w.r.t.
   the input and, for each owner in ``param_owners()``, its weight gradient
   then its bias gradient (``[]`` for a layer without parameters).
-- What a tape keeps, arrays and shapes only: a convolution its padded
-  input, flat on the shift path, and rebuilds the im2col columns in
-  backward rather than keep maps kh*kw times larger (the im2col path keeps
-  the input itself when it needs no padding, so that input must stay
-  unchanged until backward), then last the input's shape in the caller's
-  rank; ReLU a bool mask of ``out > 0``; a max-pool the input shape in the
-  caller's rank and, per window of the image, the index of the first
-  position holding the max, in the smallest unsigned dtype that fits (uint8
-  for every pool of both architectures).  ReLU and the pools keep no
-  reference to their float input or output.
+- A tape holds arrays its own forward allocated, plus the input shape where
+  they do not show it: it never references the layer's input or output.
 - A shift-path convolution returns its output as a view: the contiguous
   front of its GEMM accumulator, into which it compacts each channel's
   valid columns.  The accumulator stays alive while that view does.
@@ -112,6 +104,9 @@ class Layer:
     """Base class; subclasses fill params when they carry weights."""
 
     name = "layer"
+    # forward returns a buffer it allocated and no tape references, which an
+    # in-place ReLU may then overwrite
+    fresh_output = False
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -205,6 +200,8 @@ class Conv2D(Layer):
     tape stays valid however many other calls run before its one backward.
     """
 
+    fresh_output = True
+
     def __init__(self, in_ch: int, out_ch: int, kernel: tuple[int, int],
                  stride: tuple[int, int], padding: str, rng: np.random.Generator | None,
                  dtype, name: str = "conv2d"):
@@ -227,11 +224,13 @@ class Conv2D(Layer):
         nw = conv_out_len(in_shape[2], self.kernel[1], self.stride[1], self.padding)
         return (self.out_ch, nh, nw)
 
-    def _pads(self, in_shape):
-        if self.padding != SAME:
-            return (0, 0), (0, 0)
-        return (same_pad_amounts(in_shape[1], self.kernel[0], self.stride[0]),
-                same_pad_amounts(in_shape[2], self.kernel[1], self.stride[1]))
+    def _padded(self, in_shape):
+        """``(pads, (hp, wp))`` of a (C, H, W) or (C, T) input: its per-axis
+        (before, after) pads and its padded extent, a (C, T) map as one row."""
+        extent = (1, *in_shape[1:])[-2:]
+        pads = tuple(same_pad_amounts(n, k, s) if self.padding == SAME else (0, 0)
+                     for n, k, s in zip(extent, self.kernel, self.stride))
+        return pads, tuple(n + sum(p) for n, p in zip(extent, pads))
 
     def _weight(self) -> np.ndarray:
         """The weight as (out, in, kh, kw), whatever rank it is stored at."""
@@ -240,27 +239,23 @@ class Conv2D(Layer):
     def forward(self, x, cache=False):
         shape = self.out_shape(x.shape)
         nh, nw = (1, *shape[1:])[-2:]  # a (C, T) map's image has H = 1
-        # the tape only names buffers the arithmetic allocates anyway
+        # the tape only keeps the padded buffer the arithmetic allocates anyway
         run = self._forward_shift if self.shift else self._forward_cols
-        out, tape = run(_image(x), nh, nw)
-        tape.append(x.shape)
+        out, padded = run(_image(x), nh, nw)
         out = out.reshape(shape)
-        return (out, tape) if cache else out
+        return (out, [padded, x.shape]) if cache else out
 
     def backward(self, tape, upstream):
-        x_shape = tape.pop()
         upstream = _image(upstream)
         run = self._backward_shift if self.shift else self._backward_cols
         dw, dx = run(upstream, tape)
-        return dx.reshape(x_shape), [dw.reshape(self.params["weight"].shape),
-                                     upstream.sum(axis=(1, 2))]
+        return dx, [dw.reshape(self.params["weight"].shape), upstream.sum(axis=(1, 2))]
 
     # -- stride-1 path: one GEMM per kernel offset on the flat padded image --
 
     def _forward_shift(self, x, nh, nw):
         (kh, kw) = self.kernel
-        (pt, _), (pl, _) = pads = self._pads(x.shape)
-        hp, wp = x.shape[1] + sum(pads[0]), x.shape[2] + sum(pads[1])
+        ((pt, _), (pl, _)), (hp, wp) = self._padded(x.shape)
         # flat padded image with a (kw-1)-zero tail so every shifted GEMM
         # in backward stays in bounds
         xf = np.zeros((self.in_ch, hp * wp + kw - 1), dtype=x.dtype)
@@ -286,13 +281,14 @@ class Conv2D(Layer):
             e = min(c + step, self.out_ch)
             np.add(rows[c:e, :, :nw], bias[c:e, None, None],
                    out=flat[c * nh * nw:e * nh * nw].reshape(e - c, nh, nw))
-        return (flat[:self.out_ch * nh * nw].reshape(self.out_ch, nh, nw),
-                [xf, x.shape, (hp, wp), pads, (nh, nw)])
+        return flat[:self.out_ch * nh * nw].reshape(self.out_ch, nh, nw), xf
 
     def _backward_shift(self, upstream, tape):
-        xf, x_shape, (hp, wp), pads, (nh, nw) = tape
+        xf, x_shape = tape
         tape.clear()
         (kh, kw) = self.kernel
+        ((pt, pb), (pl, pr)), (hp, wp) = self._padded(x_shape)
+        _, nh, nw = upstream.shape
         span = nh * wp
         # the upstream as (span, out) rows, zero on the junk columns, so each
         # tap's weight gradient is the plain GEMM xf[:, off:off + span] @ grid_t
@@ -314,22 +310,23 @@ class Conv2D(Layer):
             gemm_acc(wk[di, dj].T, grid, dxf[:, off:off + span])
         del grid
         dxp = dxf[:, :hp * wp].reshape(self.in_ch, hp, wp)
-        (pt, _), (pl, _) = pads
-        return dw, dxp[:, pt:pt + x_shape[1], pl:pl + x_shape[2]].copy()
+        return dw, dxp[:, pt:hp - pb, pl:wp - pr].reshape(x_shape).copy()
 
     # -- generic path via im2col ----------------------------------------------
 
     def _forward_cols(self, x, nh, nw):
         (kh, kw), (sh, sw) = self.kernel, self.stride
-        pads = self._pads(x.shape)
-        xp = np.pad(x, ((0, 0),) + pads) if any(p for pair in pads for p in pair) else x
+        # np.pad copies even when no pad is due, so the tape never aliases x
+        xp = np.pad(x, ((0, 0),) + self._padded(x.shape)[0])
         out = self._weight().reshape(self.out_ch, -1) @ _cols_2d(xp, kh, kw, sh, sw)
         out += self.params["bias"][:, None]
-        return out.reshape(self.out_ch, nh, nw), [xp, x.shape, pads, (nh, nw)]
+        return out.reshape(self.out_ch, nh, nw), xp
 
     def _backward_cols(self, upstream, tape):
-        xp, x_shape, pads, (nh, nw) = tape
+        xp, x_shape = tape
         tape.clear()
+        ((pt, pb), (pl, pr)), (hp, wp) = self._padded(x_shape)
+        _, nh, nw = upstream.shape
         up_mat = upstream.reshape(self.out_ch, nh * nw)
         w_mat = self._weight().reshape(self.out_ch, -1)
         # the columns are kh*kw times the padded input: rebuilt, not kept
@@ -338,8 +335,7 @@ class Conv2D(Layer):
         dxp = np.zeros(xp.shape, dtype=upstream.dtype)
         for k, dst in enumerate(_offset_views(dxp, self.kernel, self.stride, nh, nw)):
             dst += dcols[:, k]
-        (pt, _), (pleft, _) = pads
-        return dw, dxp[:, pt:pt + x_shape[1], pleft:pleft + x_shape[2]]
+        return dw, dxp[:, pt:hp - pb, pl:wp - pr].reshape(x_shape)
 
 
 class Conv1D(Conv2D):
@@ -367,6 +363,8 @@ class Conv1D(Conv2D):
 class MaxPool2D(Layer):
     """Max pooling over (C, H, W) windows; first-occurrence tie-breaking."""
 
+    fresh_output = True
+
     def __init__(self, kernel: tuple[int, int], stride: tuple[int, int],
                  name: str = "maxpool2d"):
         super().__init__()
@@ -389,10 +387,11 @@ class MaxPool2D(Layer):
             np.maximum(out, s, out=out)
         if not cache:  # the tape costs a pass over every window
             return out.reshape(shape)
-        return out.reshape(shape), (x.shape, _first_max(slices, out), (nh, nw))
+        return out.reshape(shape), (x.shape, _first_max(slices, out))
 
     def backward(self, tape, upstream):
-        shape, first, (nh, nw) = tape
+        shape, first = tape
+        _, nh, nw = first.shape
         dx = np.zeros(shape, dtype=upstream.dtype)
         upstream = _image(upstream)
         hit = np.empty(first.shape, dtype=bool)
@@ -443,10 +442,10 @@ class MaxPool1D(MaxPool2D):
 class ReLU(Layer):
     """Elementwise max(0, x).
 
-    With ``inplace=True`` (used inside the model pipeline, where every
-    activation and gradient buffer is freshly produced and unaliased) the
-    forward overwrites its input and the backward overwrites the upstream
-    gradient, saving two large temporaries per call.
+    With ``inplace=True`` (which the model build sets after a layer whose
+    ``fresh_output`` is true) the forward overwrites its input and the
+    backward overwrites the upstream gradient, saving two large temporaries
+    per call.
     """
 
     name = "relu"
@@ -516,7 +515,23 @@ class InceptionNucleus(Layer):
         return dx, grads
 
 
-class ChannelsFirstReshape(Layer):
+class Flatten(Layer):
+    """Any map as one flat vector; its subclasses relabel to their ``out_shape``."""
+
+    name = "flatten"
+
+    def out_shape(self, in_shape):
+        return (int(np.prod(in_shape)),)
+
+    def forward(self, x, cache=False):
+        out = x.reshape(self.out_shape(x.shape))
+        return (out, x.shape) if cache else out
+
+    def backward(self, shape, upstream):
+        return upstream.reshape(shape), []
+
+
+class ChannelsFirstReshape(Flatten):
     """Relabel a (C, T) feature map as a single-channel (1, C, T) image."""
 
     name = "reshape_channels_first"
@@ -526,29 +541,11 @@ class ChannelsFirstReshape(Layer):
             raise ShapeError(f"{self.name}: expected rank 2, got {in_shape}")
         return (1,) + tuple(in_shape)
 
-    def forward(self, x, cache=False):
-        out = x.reshape((1,) + x.shape)
-        return (out, None) if cache else out
-
-    def backward(self, tape, upstream):
-        return upstream.reshape(upstream.shape[1:]), []
-
-
-class Flatten(Layer):
-    name = "flatten"
-
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
-
-    def forward(self, x, cache=False):
-        return (x.reshape(-1), x.shape) if cache else x.reshape(-1)
-
-    def backward(self, shape, upstream):
-        return upstream.reshape(shape), []
-
 
 class Dense(Layer):
     """Fully connected map from a flat vector to logits; optional head style."""
+
+    fresh_output = True
 
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None, dtype, name: str = "dense"):
@@ -566,7 +563,7 @@ class Dense(Layer):
 
     def forward(self, x, cache=False):
         out = self.params["weight"] @ x + self.params["bias"]
-        return (out, x) if cache else out
+        return (out, x.copy()) if cache else out
 
     def backward(self, x, upstream):
         return self.params["weight"].T @ upstream, [np.outer(upstream, x), upstream.copy()]

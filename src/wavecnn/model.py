@@ -222,7 +222,7 @@ class Model:
         return trace
 
 
-def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, prev_kind) -> Layer:
+def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, prev: Layer | None) -> Layer:
     kind = spec.kind
     if kind == "conv1d":
         return Conv1D(in_shape[0], spec.channels, spec.kernel[0], spec.stride[0],
@@ -235,11 +235,7 @@ def _build_layer(spec: LayerSpec, in_shape, rng, dtype, tag, prev_kind) -> Layer
     if kind == "maxpool2d":
         return MaxPool2D(spec.kernel, spec.stride, name=tag)
     if kind == "relu":
-        # in-place only after a layer whose output is a fresh buffer that
-        # nothing else references; a pool's tape holds only its input shape
-        # and the first-max index, built before the ReLU runs
-        return ReLU(inplace=prev_kind in ("conv1d", "conv2d", "dense", "maxpool1d",
-                                          "maxpool2d"))
+        return ReLU(inplace=prev is not None and prev.fresh_output)
     if kind == "reshape_channels_first":
         return ChannelsFirstReshape()
     if kind == "flatten":
@@ -267,8 +263,7 @@ def _build_chain(specs: list[LayerSpec], shape, rng, dtype,
     for j, spec in enumerate(specs):
         tag = f"layer{j:02d}:{spec.kind}" if branch is None else f"{branch}.{j}:{spec.kind}"
         try:
-            lyr = _build_layer(spec, shape, rng, dtype, tag,
-                               specs[j - 1].kind if j else None)
+            lyr = _build_layer(spec, shape, rng, dtype, tag, layers[-1] if layers else None)
             shape = lyr.out_shape(shape)
         except ShapeError as err:
             raise ShapeError(f"layer {j} ({spec.kind}): {err}") from err

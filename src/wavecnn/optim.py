@@ -47,10 +47,10 @@ class Adam:
         self.v = [np.zeros_like(p) for p in params]
 
     def step(self, grads: list[np.ndarray], names: list[str] | None = None) -> None:
-        """Update every parameter in place.  A non-finite gradient raises
-        NonFiniteGradient before anything changes; a step that leaves a
-        parameter non-finite raises NonFiniteError once that parameter is
-        updated.  Both name the parameter (``names[i]``, or its index)."""
+        """Update every parameter in place, with overflow warnings off.  A
+        non-finite gradient raises NonFiniteGradient before anything changes;
+        moments that overflow, or a parameter the step leaves non-finite,
+        raise NonFiniteError.  Each names the parameter (``names[i]``, or its index)."""
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} gradients for {len(self.params)} parameters")
         names = names or [f"parameter {i}" for i in range(len(grads))]
@@ -60,15 +60,17 @@ class Adam:
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t
-        for name, p, g, m, v in zip(names, self.params, grads, self.m, self.v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * np.square(g)
-            with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p, g, m, v in zip(names, self.params, grads, self.m, self.v):
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * np.square(g)
+                if not (np.isfinite(m).all() and np.isfinite(v).all()):
+                    raise NonFiniteError(f"non-finite Adam moments in {name}")
                 p -= (self.lr / c1) * m / (np.sqrt(v / c2) + EPS)
-            if not np.isfinite(p).all():
-                raise NonFiniteError(f"non-finite values in {name} after the Adam step")
+                if not np.isfinite(p).all():
+                    raise NonFiniteError(f"non-finite values in {name} after the Adam step")
 
 
 def l2_penalty(weights: list[np.ndarray], lam: float):

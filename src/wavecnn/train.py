@@ -7,8 +7,8 @@ stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
 
 Every thread count runs the same code: each :func:`train` or
 :func:`evaluate` call maps every sample through one :func:`_runner`, which
-owns the heap policy below, a pool of ``threads`` workers and each worker's
-numpy error state.  The workers all run on the one model: a cached forward
+owns the heap policy below, a pool of ``threads`` workers and the numpy
+error state of each worker and of the caller.  The workers all run on the one model: a cached forward
 returns its tape rather than storing it on the layers, and backward returns
 the gradients.  The runner yields results in sample order, so gradients are
 reduced in that order and results do not depend on the worker count.  No
@@ -68,13 +68,15 @@ def _keep_heap_resident() -> None:
 def _runner(threads: int):
     """Set the heap policy and yield ``each(fn, samples)``, which maps ``fn``
     over ``threads`` workers in sample order.  Overflow warnings are off in
-    each call: errstate is per thread, and callers refuse non-finite results."""
+    each call and on the caller's thread, which sums and steps, for the whole
+    pass: errstate is per thread, and callers refuse non-finite results."""
     _keep_heap_resident()
     def quiet(fn, sample):
         with np.errstate(over="ignore", invalid="ignore"):
             return fn(sample)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with (ThreadPoolExecutor(max_workers=threads) as pool,
+          np.errstate(over="ignore", invalid="ignore")):
         yield lambda fn, samples: pool.map(functools.partial(quiet, fn), samples)
 
 

@@ -811,6 +811,8 @@ def test_commands_in_one_process_print_what_fresh_processes_print(capsys, monkey
 # print ahead of that refusal's one error line.  Case -> exit code.
 REFUSED_NON_FINITE = {
     "train --lr 1e38": EXIT_USAGE,
+    "train --lambda 1e38": EXIT_USAGE,
+    "train --lambda 1e39": EXIT_USAGE,
     "eval --threads 2 overflowing weights": EXIT_USAGE,
     "predict overflowing weights": EXIT_USAGE,
     "prepare signalling NaN": EXIT_PARTIAL,
@@ -827,6 +829,8 @@ def test_refused_non_finite_value_prints_one_error_line(case, corpus, cache,
     write_manifest(tmp_path / "snan.csv", [("snan.wav", "canonical", 6, "F00")])
     args = {
         "train --lr 1e38": train_args(cache, tmp_path / "run", ["--lr", "1e38"]),
+        "train --lambda 1e38": train_args(cache, tmp_path / "run", ["--lambda", "1e38"]),
+        "train --lambda 1e39": train_args(cache, tmp_path / "run", ["--lambda", "1e39"]),
         "eval --threads 2 overflowing weights": [
             "eval", "--weights", str(overflowing_weights), "--manifest", manifest,
             "--task", "vocal_vs_nonvocal", "--threads", "2"],

@@ -145,7 +145,9 @@ def test_uncached_forward_between_forward_and_backward_changes_nothing(make, in_
     (lambda: Conv2D(2, 3, (3, 3), (2, 2), VALID, None, F64, name="c2d_cols"), (2, 10)),
     (lambda: Conv2D(8, 4, (3, 3), (1, 1), SAME, None, F64, name="c2d_shift"), (8, 10)),
     (lambda: MaxPool2D((2, 2), (2, 2), name="p2d"), (2, 10)),
-], ids=["conv1d", "conv1d_shift", "maxpool1d", "conv2d", "conv2d_shift", "maxpool2d"])
+    (lambda: ChannelsFirstReshape(), (2, 3, 4)),
+], ids=["conv1d", "conv1d_shift", "maxpool1d", "conv2d", "conv2d_shift", "maxpool2d",
+        "reshape_channels_first"])
 def test_conv_and_pool_refuse_a_map_of_the_other_rank(make, in_shape, cache):
     # one forward serves both ranks, so each layer's out_shape keeps its own
     layer = make()
@@ -217,7 +219,7 @@ def test_shift_forward_compacts_in_blocks_of_any_size(monkeypatch, make, in_shap
         monkeypatch.setattr(layers, "_COMPACT_BYTES", block_bytes)
         outs.append(layer.forward(x))
     w = layer.params["weight"].reshape((layer.out_ch, layer.in_ch) + layer.kernel)
-    xp = np.pad(x2, ((0, 0),) + layer._pads(x2.shape))
+    xp = np.pad(x2, ((0, 0),) + layer._padded(x2.shape)[0])
     cols = np.lib.stride_tricks.sliding_window_view(xp, layer.kernel, axis=(1, 2))
     want = np.einsum("oikl,ihwkl->ohw", w, cols) + layer.params["bias"][:, None, None]
     for out in outs:

@@ -340,6 +340,24 @@ class TestForwardBackward:
         assert model.config.seed is None
         assert not any(p.any() for p in model.parameter_arrays())
 
+    def test_relu_runs_in_place_after_each_producing_layer_only(self):
+        # a ReLU overwrites its input only after a conv, pool or dense layer,
+        # whose output is a buffer of its own that no tape references
+        relu = LayerSpec("relu")
+        specs = [relu, LayerSpec("conv1d", channels=4, kernel=(2,), stride=(1,)), relu, relu,
+                 LayerSpec("inception_nucleus", branches=[
+                     [LayerSpec("conv1d", channels=2, kernel=(2,), stride=(1,)), relu]]), relu,
+                 LayerSpec("maxpool1d", kernel=(2,), stride=(1,)), relu,
+                 LayerSpec("reshape_channels_first"), relu,
+                 LayerSpec("conv2d", channels=2, kernel=(2, 2), stride=(1, 1)), relu,
+                 LayerSpec("maxpool2d", kernel=(1, 2), stride=(1, 2)), relu,
+                 LayerSpec("flatten"), relu, LayerSpec("dense", channels=3), relu,
+                 LayerSpec("dense", channels=2)]
+        model = build_from_specs(specs, input_samples=16, seed=0)
+        inplace = [lyr.inplace for lyr in walk_layers(model.layers) if isinstance(lyr, ReLU)]
+        #          first  conv1d relu   branch nucleus pool1d reshape conv2d pool2d flat  dense
+        assert inplace == [False, True, False, True, False, True, False, True, True, False, True]
+
     def test_cached_forward_keeps_masks_and_indices_not_activations(self):
         model = build_model(WITH_INCEPTION, 3, seed=0)
         every = list(walk_layers(model.layers))
@@ -353,13 +371,19 @@ class TestForwardBackward:
             if isinstance(lyr, ReLU):
                 assert tape.dtype == bool and tape.shape == out.shape
             elif isinstance(lyr, MaxPool2D):
-                _, first, _ = tape
+                assert len(tape) == 2
+                _, first = tape
                 assert first.dtype == np.uint8
                 # MaxPool1D indexes its (C, 1, n) view of the (C, n) output
                 assert first.shape in (out.shape, out.shape[:1] + (1,) + out.shape[1:])
                 for a in cached_arrays(tape):
-                    assert not np.may_share_memory(a, x)
                     assert not np.may_share_memory(a, out)
+            elif isinstance(lyr, Conv2D):
+                assert len(tape) == 2 and tape[1] == x.shape, lyr.name
+            if isinstance(lyr, (Conv2D, MaxPool2D)):
+                # every kept array was allocated by the layer's own forward
+                for a in cached_arrays(tape):
+                    assert not np.may_share_memory(a, x), lyr.name
         # each buffer a tape keeps alive, counted once; 49.4 MiB when ReLU
         # and the pools cached their float activations, 25.0 MiB when the
         # im2col convolutions kept their columns, 20.6 MiB keeping the

@@ -85,6 +85,14 @@ class TestAdam:
                            match=r"^non-finite values in conv3\.weight after the Adam step$"):
             opt.step([np.ones(3), np.ones(2)], names=["conv3.weight", "conv3.bias"])
 
+    def test_finite_gradient_whose_moments_overflow_names_parameter(self):
+        p = np.ones(3, dtype=np.float32)
+        opt = Adam([p])
+        g = np.full(3, 1e20, dtype=np.float32)  # finite, but g**2 overflows float32
+        with pytest.raises(NonFiniteError, match=r"^non-finite Adam moments in conv3\.weight$"):
+            opt.step([g], names=["conv3.weight"])
+        npt.assert_array_equal(p, 1.0)
+
     def test_moment_shapes_mirror_parameters(self):
         params = [np.zeros((2, 3)), np.zeros(5)]
         opt = Adam(params)

@@ -175,6 +175,17 @@ class TestTrainLoop:
                                                 r"the Adam step at epoch 0 batch 0$"):
             train(model, split_all_train(samples), IDS_VS_ADS, config, clips)
 
+    # 2e38 * w fits float32 but its square, in Adam's second moment, does
+    # not; 2e39 * w overflows in the L2 gradient itself
+    @pytest.mark.parametrize("lam, cause", [(1e38, "non-finite Adam moments in"),
+                                            (1e39, "non-finite gradient in")])
+    def test_l2_term_that_overflows_is_refused(self, two_tone_corpus, lam, cause):
+        samples, clips = two_tone_corpus
+        model = tiny_model(2, seed=8)
+        first = model.parameter_names()[0]
+        with pytest.raises(TrainingError, match=rf"^{cause} {first} at epoch 0 batch 0$"):
+            train(model, split_all_train(samples), IDS_VS_ADS, quick_config(lam=lam), clips)
+
     def test_empty_training_set_rejected(self, two_tone_corpus):
         samples, clips = two_tone_corpus
         with pytest.raises(TrainingError, match="empty"):
