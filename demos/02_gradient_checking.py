@@ -3,8 +3,9 @@
 
 Each layer kind gets a small float64 instance; the analytic gradient from
 backward() is compared elementwise to (f(x+h) - f(x-h)) / 2h at h = 1e-5.
-The suite ends with a reduced conv-relu-conv-head model differentiated
-through the softmax cross-entropy loss.
+The suite ends with a reduced conv-relu-conv-head model, checked as one
+chain from its input to its logits, and with the softmax cross-entropy
+gradient against its loss.
 """
 
 import time

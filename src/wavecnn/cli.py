@@ -97,12 +97,14 @@ def _require_manifest(path) -> Path:
 
 
 def _run_dir(out, config: TrainConfig) -> Path:
+    """``out``, which a re-run may reuse, or a new timestamped directory under
+    ``runs/``: one that exists holds an earlier run, so mkdir refuses it."""
     if out:
         run = Path(out)
     else:
         stamp = time.strftime("%Y%m%d-%H%M%S")
         run = Path("runs") / f"{stamp}_{config.task}_{config.variant}"
-    run.mkdir(parents=True, exist_ok=True)
+    run.mkdir(parents=True, exist_ok=bool(out))
     return run
 
 

@@ -35,6 +35,10 @@ class UnknownTaskError(ConfigError, KeyError):
     """No builtin task has the requested name."""
 
 
+class ExcludedSampleError(WavecnnError, ValueError):
+    """A sample whose raw label the task leaves out was asked for its class."""
+
+
 @dataclass(frozen=True)
 class Sample:
     clip_path: str
@@ -69,8 +73,12 @@ class TaskSpec:
     def chance_percent(self) -> float:
         return 100.0 / self.num_classes
 
-    def class_of(self, sample: Sample):
-        return self.mapping[sample.raw_label]
+    def class_of(self, sample: Sample) -> int:
+        cls = self.mapping[sample.raw_label]
+        if cls is EXCLUDED:
+            raise ExcludedSampleError(f"clip {sample.clip_path}: label {sample.raw_label!r} "
+                                      f"is not part of task {self.name}")
+        return cls
 
     def filter(self, samples) -> list[Sample]:
         """Samples whose raw label participates in this task."""

@@ -1,9 +1,10 @@
 """Finite-difference verification of every backward pass.
 
 Checks run in float64 with central differences at step STEP = 1e-5.  For a
-layer f and a fixed random upstream U, the scalar s(theta) = sum(U * f(theta))
-has analytic gradient given by backward(tape, U); each parameter and the
-input are perturbed elementwise and compared.
+chain of layers f, run by the walkers a model runs, and a fixed random
+upstream U, the scalar s(theta) = sum(U * f(theta)) has analytic gradient
+given by the backward walk; each parameter and the input are perturbed
+elementwise and compared.
 
 Relative error for a pair (a, n): |a - n| / max(|a| + |n|, 1e-12), reduced
 with max over elements.  Anything above ~1e-6 at 64-bit usually means a real
@@ -16,7 +17,8 @@ import numpy as np
 
 from .layers import (SAME, ChannelsFirstReshape, ClassHead, Conv1D, Conv2D,
                      Dense, Flatten, InceptionNucleus, LayerSpec, MaxPool1D,
-                     MaxPool2D, ReLU, param_slots, softmax_xent)
+                     MaxPool2D, ReLU, param_slots, run_backward, run_forward,
+                     softmax_xent)
 from .model import build_from_specs
 from .tensor import CHECK_DTYPE
 
@@ -46,102 +48,76 @@ def _numeric_grad(scalar_fn, arr: np.ndarray) -> np.ndarray:
     return grad
 
 
-def check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> dict[str, float]:
-    """Compare analytic and numeric gradients for one layer instance.
+def check_chain(layers: list, x: np.ndarray, rng: np.random.Generator) -> dict[str, float]:
+    """Compare analytic and numeric gradients for ``layers`` applied in order.
 
     Returns max relative error keyed by 'dx' and each parameter name.
     """
-    out, tape = layer.forward(x, cache=True)
+    out, tapes = run_forward(layers, x, cache=True)
     upstream = rng.standard_normal(out.shape).astype(CHECK_DTYPE)
 
     def scalar() -> float:
-        return float(np.sum(upstream * layer.forward(x, cache=False)))
+        return float(np.sum(upstream * run_forward(layers, x, cache=False)[0]))
 
-    dx, grads = layer.backward(tape, upstream)
+    dx, grads = run_backward(layers, tapes, upstream)
     errors = {"dx": max_rel_error(dx, _numeric_grad(scalar, x))}
-    for (owner, role), grad in zip(param_slots([layer]), grads):
+    for (owner, role), grad in zip(param_slots(layers), grads):
         errors[f"{owner.name}.{role}"] = max_rel_error(
             grad, _numeric_grad(scalar, owner.params[role]))
     return errors
 
 
-def _tiny_layers(rng):
-    """Small float64 instances of every layer kind, with inputs clear of
-    max-pool ties and ReLU kinks."""
+def _cases(rng: np.random.Generator, seed: int) -> dict[str, tuple[list, np.ndarray]]:
+    """Every checked chain with its input: a small float64 instance of each
+    layer kind, then the reduced conv-relu-conv-head model, whose ReLU the
+    build makes in place.  Inputs stay clear of max-pool ties and ReLU kinks."""
     f64 = CHECK_DTYPE
 
     def waveform(ch, n):
         x = rng.standard_normal((ch, n)).astype(f64)
         return x + 0.2 * np.sign(x)  # keep |x| away from the ReLU kink
 
+    def image(*shape):
+        return rng.standard_normal(shape).astype(f64)
+
+    nucleus = InceptionNucleus([
+        [Conv1D(2, 3, 2, 2, SAME, rng, f64, name="b1c0")],
+        [Conv1D(2, 2, 3, 2, SAME, rng, f64, name="b2c0"),
+         ReLU(),
+         Conv1D(2, 2, 3, 1, SAME, rng, f64, name="b2c1")]])
     cases = {
-        "conv1d_valid": (Conv1D(2, 3, 4, 2, "valid", rng, f64), waveform(2, 13)),
-        "conv1d_same": (Conv1D(2, 3, 5, 3, SAME, rng, f64), waveform(2, 14)),
-        "conv2d_valid": (Conv2D(2, 3, (3, 3), (1, 1), "valid", rng, f64),
-                         rng.standard_normal((2, 6, 7)).astype(f64)),
-        "conv2d_same": (Conv2D(1, 2, (3, 3), (1, 1), SAME, rng, f64),
-                        rng.standard_normal((1, 5, 5)).astype(f64)),
-        "maxpool1d": (MaxPool1D(3, 1), waveform(2, 11)),
-        "maxpool2d": (MaxPool2D((2, 2), (2, 2)), rng.standard_normal((2, 6, 6)).astype(f64)),
-        "relu": (ReLU(), waveform(3, 9)),
-        "reshape_channels_first": (ChannelsFirstReshape(), waveform(3, 7)),
-        "flatten": (Flatten(), rng.standard_normal((2, 3, 4)).astype(f64)),
-        "dense": (Dense(10, 4, rng, f64), rng.standard_normal(10).astype(f64)),
-        "class_head": (ClassHead(3), rng.standard_normal((3, 4, 5)).astype(f64)),
-        "inception_nucleus": (_tiny_inception(rng, f64), waveform(2, 12)),
+        "conv1d_valid": ([Conv1D(2, 3, 4, 2, "valid", rng, f64)], waveform(2, 13)),
+        "conv1d_same": ([Conv1D(2, 3, 5, 3, SAME, rng, f64)], waveform(2, 14)),
+        "conv2d_valid": ([Conv2D(2, 3, (3, 3), (1, 1), "valid", rng, f64)], image(2, 6, 7)),
+        "conv2d_same": ([Conv2D(1, 2, (3, 3), (1, 1), SAME, rng, f64)], image(1, 5, 5)),
+        "maxpool1d": ([MaxPool1D(3, 1)], waveform(2, 11)),
+        "maxpool2d": ([MaxPool2D((2, 2), (2, 2))], image(2, 6, 6)),
+        "relu": ([ReLU()], waveform(3, 9)),
+        "reshape_channels_first": ([ChannelsFirstReshape()], waveform(3, 7)),
+        "flatten": ([Flatten()], image(2, 3, 4)),
+        "dense": ([Dense(10, 4, rng, f64)], image(10)),
+        "class_head": ([ClassHead(3)], image(3, 4, 5)),
+        "inception_nucleus": ([nucleus], waveform(2, 12)),
         # 9 * 8 = 72 input taps at stride 1: the shift-GEMM path
-        "conv1d_shift": (Conv1D(9, 2, 8, 1, SAME, rng, f64), waveform(9, 11)),
+        "conv1d_shift": ([Conv1D(9, 2, 8, 1, SAME, rng, f64)], waveform(9, 11)),
     }
+    specs = [LayerSpec("conv1d", channels=4, kernel=(5,), stride=(3,), padding=SAME),
+             LayerSpec("relu"),
+             LayerSpec("conv1d", channels=3, kernel=(3,), stride=(2,), padding=SAME),
+             LayerSpec("class_head", channels=3)]
+    model = build_from_specs(specs, input_samples=32, seed=seed, dtype=f64)
+    cases["end_to_end"] = (model.layers, waveform(1, 32))
     return cases
 
 
-def _tiny_inception(rng, dtype):
-    b1 = [Conv1D(2, 3, 2, 2, SAME, rng, dtype, name="b1c0")]
-    b2 = [Conv1D(2, 2, 3, 2, SAME, rng, dtype, name="b2c0"),
-          ReLU(),
-          Conv1D(2, 2, 3, 1, SAME, rng, dtype, name="b2c1")]
-    return InceptionNucleus([b1, b2])
-
-
-def check_all_layers(seed: int = 0) -> dict[str, float]:
-    """Max relative error per layer kind on small randomized instances."""
-    rng = np.random.default_rng(seed)
-    results = {}
-    for kind, (layer, x) in _tiny_layers(rng).items():
-        errors = check_layer(layer, x, rng)
-        results[kind] = max(errors.values())
-    return results
-
-
-def check_end_to_end(seed: int = 0) -> float:
-    """Gradient of the full loss through a reduced conv-relu-conv-head model."""
-    rng = np.random.default_rng(seed)
-    specs = [
-        LayerSpec("conv1d", channels=4, kernel=(5,), stride=(3,), padding=SAME),
-        LayerSpec("relu"),
-        LayerSpec("conv1d", channels=3, kernel=(3,), stride=(2,), padding=SAME),
-        LayerSpec("class_head", channels=3),
-    ]
-    model = build_from_specs(specs, input_samples=32, seed=seed, dtype=CHECK_DTYPE)
-    x = rng.standard_normal(32).astype(CHECK_DTYPE)
-    x += 0.2 * np.sign(x)
-    true_class = 1
-
-    def scalar() -> float:
-        loss, _, _ = softmax_xent(model.forward(x), true_class)
-        return loss
-
-    logits, tape = model.forward(x, cache=True)
-    _, _, dlogits = softmax_xent(logits, true_class)
-    analytic = model.backward(tape, dlogits)
-    worst = 0.0
-    for grad, param in zip(analytic, model.parameter_arrays()):
-        worst = max(worst, max_rel_error(grad, _numeric_grad(scalar, param)))
-    return worst
-
-
 def run_full_check(seed: int = 0) -> dict[str, float]:
-    """Per-layer table plus the reduced end-to-end model, as one dict."""
-    results = check_all_layers(seed)
-    results["end_to_end"] = check_end_to_end(seed)
+    """Max relative error per case of the table above, then of softmax
+    cross-entropy's ``dlogits`` against its loss on random logits."""
+    rng = np.random.default_rng(seed)
+    results = {kind: max(check_chain(layers, x, rng).values())
+               for kind, (layers, x) in _cases(rng, seed).items()}
+    logits = rng.standard_normal(4).astype(CHECK_DTYPE)
+    dlogits = softmax_xent(logits, 1)[2]
+    results["softmax_xent"] = max_rel_error(
+        dlogits, _numeric_grad(lambda: softmax_xent(logits, 1)[0], logits))
     return results

@@ -248,6 +248,7 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
     """
     if not test:
         raise ValueError("empty test set")
+    truth = np.array([task.class_of(s) for s in test], dtype=np.int64)
 
     def predict(sample):
         logits = model.forward(clips[sample.clip_path])
@@ -257,7 +258,6 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
 
     with _runner(threads) as each:
         preds = np.array(list(each(predict, test)), dtype=np.int64)
-    truth = np.array([task.class_of(s) for s in test], dtype=np.int64)
     k = task.num_classes
     confusion = np.zeros((k, k), dtype=np.int64)
     for t, p in zip(truth, preds):

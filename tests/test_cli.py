@@ -226,6 +226,20 @@ class TestTrain:
         for name in ("weights.bin", "report.json", "report.csv"):
             assert not (run / name).exists(), name
 
+    def test_default_run_dir_of_an_earlier_run_exits_2_and_keeps_it(self, cache, tmp_path,
+                                                                    capsys, monkeypatch):
+        # two runs without --out that start in the same second share a name
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+        args = train_args(cache, None)[:-2]
+        assert main(args) == EXIT_OK
+        run = tmp_path / "runs" / "20260101-000000_vocal_vs_nonvocal_without_inception"
+        kept = {path.name: path.read_bytes() for path in run.iterdir()}
+        assert main([*args, "--seed", "2"]) == EXIT_USAGE
+        assert "runs/20260101-000000_vocal_vs_nonvocal_without_inception" \
+            in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == kept
+
     def test_missing_manifest_exits_2_naming_path(self, tmp_path, capsys):
         rc = main(["train", "--manifest", str(tmp_path / "nowhere.csv"),
                    "--task", "vocal_vs_nonvocal", "--variant", "without_inception"])

@@ -26,6 +26,7 @@ from wavecnn.tensor import WavecnnError
 # every exception class the package defines, with the builtin base it keeps
 BUILTIN_BASES = {
     "wavecnn.audio.WavFormatError": ValueError,
+    "wavecnn.data.ExcludedSampleError": ValueError,
     "wavecnn.data.ManifestError": ValueError,
     "wavecnn.data.UnknownTaskError": KeyError,
     "wavecnn.model.WeightsFormatError": ValueError,

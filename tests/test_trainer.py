@@ -9,7 +9,7 @@ import pytest
 
 import wavecnn.train
 from conftest import TRAIN_ONCE, run_python, tiny_model, tone_corpus
-from wavecnn.data import Split, get_task
+from wavecnn.data import ExcludedSampleError, Split, get_task
 from wavecnn.layers import softmax_xent
 from wavecnn.model import WITHOUT_INCEPTION, build_model
 from wavecnn.train import TrainConfig, TrainingError, evaluate, lofo_sweep, train
@@ -285,6 +285,31 @@ def test_trained_process_has_one_arena_and_mmaps_no_large_block():
     heaps, new_mmapped_chunks = map(int, run_python(TRAIN_ONCE + HEAP_LAYOUT).split())
     assert heaps == 1  # M_ARENA_MAX = 1
     assert new_mmapped_chunks == 0  # M_MMAP_THRESHOLD = 32 MiB
+
+
+def excluded_clip_corpus():
+    """ids_vs_ads samples plus one laugh_cry clip, a label the task leaves out."""
+    samples, clips = tone_corpus(2, {"ids": 500.0, "ads": 2500.0, "laugh_cry": 1200.0})
+    return samples[:5], clips, samples[4]
+
+
+def test_train_names_a_sample_the_task_excludes():
+    samples, clips, stray = excluded_clip_corpus()
+    with pytest.raises(ExcludedSampleError, match=f"{stray.clip_path}: label 'laugh_cry' "
+                       "is not part of task ids_vs_ads") as info:
+        train(tiny_model(2, seed=0), split_all_train(samples), IDS_VS_ADS,
+              quick_config(max_epochs=1), clips)
+    assert isinstance(info.value, ValueError)
+
+
+def test_evaluate_refuses_a_sample_the_task_excludes_before_any_forward():
+    samples, clips, stray = excluded_clip_corpus()
+    model = tiny_model(2, seed=0)
+    forwards = []
+    model.forward = lambda *args, **kwargs: forwards.append(args)
+    with pytest.raises(ExcludedSampleError, match=stray.clip_path):
+        evaluate(model, samples, IDS_VS_ADS, clips)
+    assert forwards == []
 
 
 class TestEvaluate:
