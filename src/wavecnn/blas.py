@@ -1,4 +1,5 @@
-"""``c += a @ b`` inside BLAS, through the OpenBLAS that numpy already loads.
+"""``c += a @ b`` inside BLAS, through the OpenBLAS that numpy already loads,
+and the name of the kernel family that library runs.
 
 numpy's wheels bundle an ILP64 OpenBLAS (``numpy.libs/libscipy_openblas64_*``)
 whose CBLAS entry points take a leading dimension per operand, so a strided
@@ -26,17 +27,35 @@ _SYMBOLS = {np.dtype(np.float32): ("scipy_cblas_sgemm64_", ctypes.c_float),
 
 
 @functools.cache
-def _gemm_functions() -> dict:
-    """dtype -> bound CBLAS gemm; empty when numpy bundles no such library."""
+def _library():
+    """numpy's bundled OpenBLAS, or None where numpy bundles no such library."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
         "libscipy_openblas64_*.so"))
-    if not libs:
-        return {}
     try:
-        lib = ctypes.CDLL(str(libs[0]))
-        bound = {dtype: (getattr(lib, name), scalar)
+        return ctypes.CDLL(str(libs[0])) if libs else None
+    except OSError:
+        return None
+
+
+@functools.cache
+def core_name() -> str | None:
+    """OpenBLAS's kernel family (``SkylakeX``, ``Haswell``, ...), as picked for
+    this CPU or forced by ``OPENBLAS_CORETYPE``; a float32 GEMM's bits depend
+    on it.  None where the library or the symbol is missing."""
+    getter = getattr(_library(), "scipy_openblas_get_corename64_", None)
+    if getter is None:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_char_p
+    return getter().decode()
+
+
+@functools.cache
+def _gemm_functions() -> dict:
+    """dtype -> bound CBLAS gemm; empty when numpy bundles no such library."""
+    try:  # getattr(None, name) raises AttributeError as a missing symbol does
+        bound = {dtype: (getattr(_library(), name), scalar)
                  for dtype, (name, scalar) in _SYMBOLS.items()}
-    except (OSError, AttributeError):
+    except AttributeError:
         return {}
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     for fn, scalar in bound.values():

@@ -6,9 +6,10 @@ Runs are reproducible: training settings come from an optional key=value
 config file overridden by flags, and every train/eval run writes its fully
 resolved configuration next to its outputs.  Exit codes: 0 success, 1 partial
 data failure, 2 usage, configuration or input error, 3 internal error.  Exit 2
-covers exactly the package's typed errors (``tensor.WavecnnError``) and
-``OSError``, printed as one ``error:`` line; any other exception is a bug,
-and its traceback is printed.
+covers exactly the package's typed errors (``tensor.WavecnnError``),
+``OSError`` and ``MemoryError`` (a request larger than the machine), printed
+as one ``error:`` line; any other exception is a bug, and its traceback is
+printed.
 """
 
 from __future__ import annotations
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (WavecnnError, OSError) as err:
+    except (WavecnnError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

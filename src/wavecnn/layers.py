@@ -22,9 +22,9 @@ Conventions, fixed package-wide:
   then its bias gradient (``[]`` for a layer without parameters).
 - A tape holds arrays its own forward allocated, plus the input shape where
   they do not show it: it never references the layer's input or output.
-- A shift-path convolution returns its output as a view: the contiguous
-  front of its GEMM accumulator, into which it compacts each channel's
-  valid columns.  The accumulator stays alive while that view does.
+- A shift-path convolution returns a strided view of its GEMM accumulator,
+  the valid columns with the bias added in place, which keeps the whole
+  accumulator alive; :class:`ClassHead` copies such a map before it reduces.
 - A tape serves one backward.  A convolution's backward empties its tape
   (a list) and frees each of its buffers after their last read, before
   allocating the gradient buffers that follow.
@@ -49,9 +49,6 @@ from .tensor import NonFiniteError, ShapeError
 
 VALID = "valid"
 SAME = "same"
-
-# bytes of accumulator rows a shift-path forward compacts per numpy call
-_COMPACT_BYTES = 1 << 20
 
 
 @dataclass
@@ -270,18 +267,10 @@ class Conv2D(Layer):
             for dj in range(kw):
                 off = di * wp + dj
                 gemm_acc(wk[di, dj], xf[:, off:off + span], acc[:, :span])
-        # compact each channel's nw valid columns, plus bias, to the front of
-        # acc, a bounded block of channels per call: a block's destination
-        # ends before any later block's source starts, and numpy buffers the
-        # overlap within one block
-        rows, flat = acc.reshape(self.out_ch, nh, wp), acc.reshape(-1)
-        bias = self.params["bias"]
-        step = max(1, _COMPACT_BYTES // (nh * wp * acc.itemsize))
-        for c in range(0, self.out_ch, step):
-            e = min(c + step, self.out_ch)
-            np.add(rows[c:e, :, :nw], bias[c:e, None, None],
-                   out=flat[c * nh * nw:e * nh * nw].reshape(e - c, nh, nw))
-        return flat[:self.out_ch * nh * nw].reshape(self.out_ch, nh, nw), xf
+        # the output is acc's nw valid columns of each row, a strided view
+        out = acc.reshape(self.out_ch, nh, wp)[:, :, :nw]
+        out += self.params["bias"][:, None, None]
+        return out, xf
 
     def _backward_shift(self, upstream, tape):
         xf, x_shape = tape
@@ -316,8 +305,9 @@ class Conv2D(Layer):
 
     def _forward_cols(self, x, nh, nw):
         (kh, kw), (sh, sw) = self.kernel, self.stride
-        # np.pad copies even when no pad is due, so the tape never aliases x
-        xp = np.pad(x, ((0, 0),) + self._padded(x.shape)[0])
+        ((pt, _), (pl, _)), (hp, wp) = self._padded(x.shape)
+        xp = np.zeros((self.in_ch, hp, wp), dtype=x.dtype)  # fresh: the tape never aliases x
+        xp[:, pt:pt + x.shape[1], pl:pl + x.shape[2]] = x
         out = self._weight().reshape(self.out_ch, -1) @ _cols_2d(xp, kh, kw, sh, sw)
         out += self.params["bias"][:, None]
         return out.reshape(self.out_ch, nh, nw), xp
@@ -587,7 +577,8 @@ class ClassHead(Layer):
 
     def forward(self, x, cache=False):
         self.out_shape(x.shape)
-        out = x.mean(axis=tuple(range(1, x.ndim)))
+        # a copy, as numpy sums a strided map in another order than a contiguous one
+        out = np.ascontiguousarray(x).mean(axis=tuple(range(1, x.ndim)))
         return (out, x.shape) if cache else out
 
     def backward(self, shape, upstream):

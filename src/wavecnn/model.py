@@ -297,6 +297,8 @@ def build_model(variant: str, num_classes: int, *, seed: int | None = 0,
     """Build one of the two reference architectures for a given class count."""
     if variant not in _TABLES:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if num_classes >= 2**32:
+        raise ConfigError(f"{num_classes} classes: a weights file holds at most 2**32 - 1")
     return build_from_specs(_TABLES[variant](num_classes, dense_head), seed=seed, dtype=dtype)
 
 

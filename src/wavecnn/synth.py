@@ -21,6 +21,7 @@ from .tensor import ConfigError
 
 FAMILY_COLORATION = 0.4  # first-order filter coefficients are drawn from +-this
 PEAK = 0.9               # post-normalization waveform peak
+MAX_CLIPS = 100_000      # clips, and families, per corpus: 1.6 GB of WAVs
 
 
 @dataclass
@@ -36,6 +37,10 @@ class SynthSpec:
             raise ConfigError("num_classes and clips_per_class must be >= 1")
         if self.families < 1:
             raise ConfigError("families must be >= 1")
+        if max(self.num_classes * self.clips_per_class, self.families) > MAX_CLIPS:
+            raise ConfigError(f"a corpus holds at most {MAX_CLIPS} clips and as many "
+                              f"families, got {self.num_classes} x {self.clips_per_class} "
+                              f"clips and {self.families} families")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):

@@ -54,12 +54,13 @@ def train_once(threads):
 """
 
 
-def run_python(script, *args):
+def run_python(script, *args, env=None):
     """Standard output of ``script`` run by a fresh interpreter on this
-    package, with BLAS on one thread so that its bits are reproducible."""
+    package, with BLAS on one thread so that its bits are reproducible, and
+    ``env`` added to the environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(wavecnn.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", **(env or {}),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=300, check=True)

@@ -48,6 +48,19 @@ def test_binds_both_dtypes_when_numpy_bundles_openblas():
     assert set(bound) == ({np.dtype(np.float32), np.dtype(np.float64)} if libs else set())
 
 
+def test_core_name_reads_the_bundled_library_or_is_none_without_it(monkeypatch):
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "libscipy_openblas64_*.so"))
+    name = blas.core_name()
+    assert (isinstance(name, str) and name) if libs else name is None
+    monkeypatch.setattr(blas, "_library", lambda: None)
+    blas.core_name.cache_clear()
+    try:
+        assert blas.core_name() is None
+    finally:
+        blas.core_name.cache_clear()
+
+
 def _operands():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 3)).astype(np.float32)

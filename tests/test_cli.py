@@ -1,14 +1,22 @@
+import argparse
 import codecs
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import wavecnn
 from conftest import float32_wav_bytes, wav_bytes
@@ -17,7 +25,7 @@ from wavecnn.audio import load_clip, read_clip_cache, write_wav
 from wavecnn.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main,
                          read_config_file)
 from wavecnn.data import parse_manifest, write_manifest
-from wavecnn.model import build_model, save_weights
+from wavecnn.model import build_model, load_weights, save_weights
 from wavecnn.synth import SynthSpec, generate
 
 
@@ -756,6 +764,11 @@ TYPED_INPUT_ERRORS = {
     "train --task bogus": "unknown task 'bogus'; known tasks: infant_vs_adult, ",
     "synth --classes 0": "num_classes and clips_per_class must be >= 1",
     "params --classes 1": "layer 22 (class_head, 1 channels) cannot end a model",
+    "params --classes 2**63": "9223372036854775808 classes: a weights file holds at most "
+                              "2**32 - 1",
+    "synth --clips-per-class 2**63": "a corpus holds at most 100000 clips and as many "
+                                     "families, got 3 x 9223372036854775808 clips",
+    "synth --families 2**63": "and 9223372036854775808 families",
     "eval overflowing weights": ".f32: non-finite logits [nan nan]",
     "predict overflowing weights": "{wav}: non-finite logits: [nan nan] under weights {weights}",
 }
@@ -776,6 +789,12 @@ def test_typed_input_errors_exit_2_with_their_message(case, corpus, cache,
         "train --task bogus": train_args(cache, tmp_path / "run", ["--task", "bogus"]),
         "synth --classes 0": ["synth", "--out", str(tmp_path / "run"), "--classes", "0"],
         "params --classes 1": ["params", "--variant", "without_inception", "--classes", "1"],
+        "params --classes 2**63": ["params", "--variant", "without_inception",
+                                   "--classes", str(2**63)],
+        "synth --clips-per-class 2**63": ["synth", "--out", str(tmp_path / "run"),
+                                          "--clips-per-class", str(2**63)],
+        "synth --families 2**63": ["synth", "--out", str(tmp_path / "run"),
+                                   "--families", str(2**63)],
         "eval overflowing weights": ["eval", "--weights", str(overflowing_weights),
                                      "--manifest", manifest, "--task", "vocal_vs_nonvocal"],
         "predict overflowing weights": ["predict", "--weights", str(overflowing_weights),
@@ -787,6 +806,15 @@ def test_typed_input_errors_exit_2_with_their_message(case, corpus, cache,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert TYPED_INPUT_ERRORS[case].format(wav=wav, weights=overflowing_weights) in captured.err
     assert not (tmp_path / "run").exists()
+
+
+def test_out_of_memory_exits_2_with_one_error_line(monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 18.0 TiB for an array")
+
+    monkeypatch.setattr(cli, "build_model", too_large)
+    assert main(["params", "--variant", "with_inception"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: Unable to allocate 18.0 TiB for an array\n"
 
 
 def run_cli(*args):
@@ -856,3 +884,129 @@ def test_refused_non_finite_value_prints_one_error_line(case, corpus, cache,
     proc = run_cli(*args)
     assert proc.returncode == REFUSED_NON_FINITE[case]
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+
+# -- every value the grammar accepts -------------------------------------------
+
+# each flag type's edges; the path into a missing directory is relative, so
+# it stays inside the working directory a run starts in
+FLOAT_EDGES = ("0", "1e-45", "-1e-45", "1e38", "-1e38", "3.4e38", "inf", "-inf", "nan", "0.5")
+INT_EDGES = ("0", "-1", str(2**63), "1", "2")
+STRING_EDGES = ("", "näme-☃", os.path.join("missing", "dir", "file"))
+# flags whose larger values cost only time or threads are drawn up to these
+INT_CAPS = {"max_epochs": 2, "batch_size": 8, "threads": 2}
+
+
+def flag_tokens(action):
+    """What follows one drawn flag: nothing for a switch, else one of its
+    choices (without_inception the only architecture) or its type's edges."""
+    if action.nargs == 0:
+        return st.just([])
+    if action.choices:
+        values = [c for c in action.choices if c != "with_inception"] + list(STRING_EDGES)
+    elif action.type is float:
+        values = FLOAT_EDGES
+    elif action.type is int:
+        cap = INT_CAPS.get(action.dest)
+        values = [v for v in INT_EDGES if cap is None or int(v) <= cap]
+    else:
+        values = STRING_EDGES
+    return st.sampled_from(values).map(lambda value: [value])
+
+
+@st.composite
+def command_lines(draw, bases):
+    """One of the parser's commands with its flags from ``bases``, then up
+    to three of the command's flags each set to a drawn value or dropped,
+    except a capped one, whose default may exceed its cap."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    command = draw(st.sampled_from(sorted(sub.choices)))
+    flags = dict(bases[command])
+    actions = [a for a in sub.choices[command]._actions
+               if a.option_strings and a.dest != "help"]
+    for action in draw(st.lists(st.sampled_from(actions), max_size=3, unique_by=id)):
+        tokens = draw(flag_tokens(action) if action.dest in INT_CAPS
+                      else st.none() | flag_tokens(action))
+        if tokens is None:
+            flags.pop(action.option_strings[-1], None)
+        else:
+            flags[action.option_strings[-1]] = tokens
+    return [command] + [token for flag, tokens in flags.items() for token in [flag, *tokens]]
+
+
+@pytest.fixture(scope="module")
+def base_flags(tmp_path_factory):
+    """Flags that make each command a short valid run on an 8-clip corpus;
+    outputs are relative, inside the working directory of the run."""
+    root = tmp_path_factory.mktemp("grammar")
+    manifest = generate(SynthSpec(num_classes=2, clips_per_class=4, families=2,
+                                  noise_floor=0.05, seed=4), root / "wavs")
+    cache = root / "cache" / "manifest.csv"
+    assert main(["prepare", "--manifest", str(manifest), "--out", str(cache.parent)]) == EXIT_OK
+    run = {"--manifest": [str(cache)], "--task": ["vocal_vs_nonvocal"]}
+    assert main(["train", "--manifest", str(cache), "--task", "vocal_vs_nonvocal",
+                 "--variant", "without_inception", "--epochs", "1",
+                 "--out", str(root / "run")]) == EXIT_OK
+    weights = [str(root / "run" / "weights.bin")]
+    return root, {
+        "prepare": {"--manifest": [str(manifest)], "--out": ["prepared"]},
+        "train": {**run, "--variant": ["without_inception"], "--epochs": ["1"],
+                  "--batch": ["8"], "--out": ["run"]},
+        "eval": {"--weights": weights, **run},
+        "predict": {"--weights": weights, "--wav": [parse_manifest(manifest)[0].clip_path]},
+        "params": {"--variant": ["without_inception"]},
+        "gradcheck": {},
+        "synth": {"--out": ["synth"], "--classes": ["2"], "--clips-per-class": ["1"],
+                  "--families": ["1"]},
+    }
+
+
+def tree(root):
+    """Every file under ``root`` with its size and modification time."""
+    return {(path, path.stat().st_size, path.stat().st_mtime_ns)
+            for path in Path(root).rglob("*") if path.is_file()}
+
+
+def finite_json(text):
+    def refuse(constant):
+        raise AssertionError(f"non-finite {constant} in {text!r}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_no_accepted_value_exits_3(base_flags, data):
+    """Whatever values its grammar lets through, the command line exits 0, 1
+    or 2 and writes only inside its working directory; a refusal prints one
+    error line, a success leaves finite results."""
+    inputs, bases = base_flags
+    argv = data.draw(command_lines(bases), label="argv")
+    here = os.getcwd()
+    before = tree(inputs), set(os.listdir(here))
+    with (tempfile.TemporaryDirectory() as work, warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO()) as err):
+        warnings.simplefilter("always")
+        os.chdir(work)
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse refusing a value
+            code = exit_.code
+        finally:
+            os.chdir(here)
+        event(f"{argv[0]} exit {code}")
+        assert code in (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code != EXIT_OK:
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, \
+                err.getvalue()
+        if code == EXIT_OK:
+            for log in Path(work).rglob("run_log.jsonl"):
+                assert [finite_json(line) for line in log.read_text().splitlines()]
+            for report in Path(work).rglob("report.json"):
+                finite_json(report.read_text())
+            for weights in Path(work).rglob("weights.bin"):
+                load_weights(weights)
+    assert (tree(inputs), set(os.listdir(here))) == before

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import TRAIN_ONCE, run_python, tiny_model
-from wavecnn import layers
+from wavecnn import blas, layers
 from wavecnn.data import builtin_tasks
 from wavecnn.layers import (SAME, VALID, Conv2D, LayerSpec, MaxPool2D, ReLU,
                             softmax_xent)
@@ -442,7 +442,8 @@ class TestForwardBackward:
     @pytest.mark.parametrize("variant", [WITH_INCEPTION, WITHOUT_INCEPTION])
     @pytest.mark.parametrize("head", ["gap", "dense"])
     def test_training_steps_match_pinned_digest(self, training_digests, variant, head):
-        assert training_digests[f"{variant}/{head}"] == TRAINING_DIGESTS[variant, head]
+        for core, digests in training_digests.items():
+            assert digests[f"{variant}/{head}"] == TRAINING_DIGESTS[core][variant, head], core
 
     def test_replicas_share_parameters_but_not_caches(self):
         model = build_model(WITHOUT_INCEPTION, 2, seed=4)
@@ -488,21 +489,39 @@ def recording_forward(lyr, seen):
 # SHA-256 over the logits and gradients of three Adam steps on random clips,
 # then the parameters after them; frozen from the implementation whose ReLU
 # and pooling layers cached their float activations.  BLAS runs on one
-# thread because its summation order, and so the bits, vary with the count.
+# thread, and the pins are per OpenBLAS kernel family (``blas.core_name()``):
+# the summation order of a float32 GEMM, and so the bits, vary with both.
+# numpy's wheel runs SkylakeX on AVX-512 CPUs and Haswell on AVX2-only ones.
 TRAINING_DIGESTS = {
-    (WITH_INCEPTION, "gap"):
-        "1aa1822354737c89fccacf55cb90f720bdaa4292929889cd865918ded31b79ef",
-    (WITH_INCEPTION, "dense"):
-        "675d957981f9b0fdc69f0548ed2986ef391b8fde31a2928cee1db5c309f09e35",
-    (WITHOUT_INCEPTION, "gap"):
-        "8a03518fc8286c0ac53a25ce2c3a49a2b0c7f68ede16b2ca786e89759243322a",
-    (WITHOUT_INCEPTION, "dense"):
-        "f7373c7a44b11933527ec4c2905a472978bce32333bd9e721b4a33fccf40b602",
+    "SkylakeX": {
+        (WITH_INCEPTION, "gap"):
+            "1aa1822354737c89fccacf55cb90f720bdaa4292929889cd865918ded31b79ef",
+        (WITH_INCEPTION, "dense"):
+            "675d957981f9b0fdc69f0548ed2986ef391b8fde31a2928cee1db5c309f09e35",
+        (WITHOUT_INCEPTION, "gap"):
+            "8a03518fc8286c0ac53a25ce2c3a49a2b0c7f68ede16b2ca786e89759243322a",
+        (WITHOUT_INCEPTION, "dense"):
+            "f7373c7a44b11933527ec4c2905a472978bce32333bd9e721b4a33fccf40b602",
+    },
+    "Haswell": {
+        (WITH_INCEPTION, "gap"):
+            "4a3ac95921f6bf1ed93791c85cae6dfe0d30a179c800f0cfbfa54f30af8fd83c",
+        (WITH_INCEPTION, "dense"):
+            "88db35d0feaa2f02f9131b68f6c88a7f43420b9d99a543fd7e81d19de97c6afa",
+        (WITHOUT_INCEPTION, "gap"):
+            "924b32d1003f7d5fcf6b2bf52268e6f66dd34dec4ae6ac33de0a98bc7b3642a6",
+        (WITHOUT_INCEPTION, "dense"):
+            "f92e3ffbf6d2fb73caab5c4bde181440802e73408aca1c201aeef1271baf41ef",
+    },
 }
+# the /proc/cpuinfo flags each pinned family's kernels use
+CORE_FLAGS = {"SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+              "Haswell": {"avx2", "fma"}}
 
 TRAINING_DIGEST_SCRIPT = """
 import hashlib, json
 import numpy as np
+from wavecnn.blas import core_name
 from wavecnn.layers import softmax_xent
 from wavecnn.model import build_model
 from wavecnn.optim import Adam
@@ -524,21 +543,47 @@ for variant in ("with_inception", "without_inception"):
             optimizer.step(grads)
         h.update(model.state_bytes())
         digests[f"{variant}/{head}"] = h.hexdigest()
-print(json.dumps(digests))
+print(json.dumps({"core": core_name(), "digests": digests}))
 """
+
+
+def pinned_cores_here() -> list[str]:
+    """The pinned kernel families this host's CPU can run: those whose flags
+    /proc/cpuinfo lists, and the one OpenBLAS picks here if it is pinned."""
+    try:
+        info = Path("/proc/cpuinfo").read_text()
+        flags = set(re.search(r"^flags\s*:(.*)$", info, re.M).group(1).split())
+    except (OSError, AttributeError):
+        flags = set()
+    cores = [core for core in TRAINING_DIGESTS
+             if CORE_FLAGS[core] <= flags or core == blas.core_name()]
+    assert cores, f"no digests are pinned for OpenBLAS core {blas.core_name()!r}"
+    return cores
+
+
+def digests_per_core(script: str) -> dict[str, dict[str, str]]:
+    """Core -> the digests ``script`` prints, run with ``OPENBLAS_CORETYPE``
+    forcing each pinned core the host can run, which the run confirms."""
+    runs = {}
+    for core in pinned_cores_here():
+        run = json.loads(run_python(script, env={"OPENBLAS_CORETYPE": core}))
+        assert run["core"] == core, f"OPENBLAS_CORETYPE={core} ran {run['core']}"
+        runs[core] = run["digests"]
+    return runs
 
 
 @pytest.fixture(scope="module")
 def training_digests():
-    return json.loads(run_python(TRAINING_DIGEST_SCRIPT))
+    return digests_per_core(TRAINING_DIGEST_SCRIPT)
 
 
 def test_training_digests_hold_under_the_heap_policy():
     """The allocator settings train() applies change where buffers live, not
     what is computed in them."""
-    digests = json.loads(run_python(TRAIN_ONCE + "train_once(1)\n" + TRAINING_DIGEST_SCRIPT))
-    for (variant, head), digest in TRAINING_DIGESTS.items():
-        assert digests[f"{variant}/{head}"] == digest
+    runs = digests_per_core(TRAIN_ONCE + "train_once(1)\n" + TRAINING_DIGEST_SCRIPT)
+    for core, digests in runs.items():
+        for (variant, head), digest in TRAINING_DIGESTS[core].items():
+            assert digests[f"{variant}/{head}"] == digest, core
 
 
 class TestSpecsDescribeModel:
