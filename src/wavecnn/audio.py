@@ -1,11 +1,11 @@
 """WAV ingestion: decode, resample to 8 kHz, cut standardized 1-second clips.
 
-Supported input: RIFF/WAVE containers with PCM 8/16/24-bit or IEEE float32
-payloads, mono or stereo.  Everything downstream of :func:`load_wav` works on
-float arrays scaled to [-1, 1]; stereo is averaged to mono at load time.
-A float payload or cache file holding NaN or inf raises WavFormatError, as
-does a WAV whose header or payload cannot be decoded: a zero sample rate, a
-16-bit or float32 payload that ends inside a sample, or no complete sample.
+Supported input: RIFF/WAVE containers with PCM 8/16/24/32-bit or IEEE float32
+payloads, mono or stereo, whose data chunk holds whole frames (one sample per
+channel); any other WAV raises WavFormatError and none is cut.  Everything
+downstream of :func:`load_wav` works on float arrays scaled to [-1, 1]; stereo
+is averaged to mono at load time.  A float payload or cache file holding NaN
+or inf raises WavFormatError, as does a zero sample rate or an empty chunk.
 
 A recording becomes a list of ``(offset_s, samples)`` pairs: each pair is
 one standardized 1-second clip and its start in the 8 kHz signal.  The clip
@@ -71,31 +71,31 @@ def load_wav(path) -> tuple[np.ndarray, int, int]:
         raise WavFormatError(f"{path}: {channels} channels unsupported (want 1 or 2)")
     if rate == 0:
         raise WavFormatError(f"{path}: sample rate 0 Hz")
-    if bits in (16, 32) and len(data) % (bits // 8):
+    if (audio_format, bits) not in ((_PCM, 8), (_PCM, 16), (_PCM, 24), (_PCM, 32),
+                                    (_IEEE_FLOAT, 32)):
+        raise WavFormatError(f"{path}: unsupported format code {audio_format} "
+                             f"at {bits} bits")
+    frame = channels * bits // 8
+    if not data:
+        raise WavFormatError(f"{path}: data chunk holds no complete sample")
+    if len(data) % frame:
         raise WavFormatError(f"{path}: {len(data)}-byte data chunk is not a whole "
-                             f"number of {bits // 8}-byte samples")
-    if audio_format == _PCM and bits == 8:
-        samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
-    elif audio_format == _PCM and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == _PCM and bits == 24:
-        triples = np.frombuffer(data, dtype=np.uint8)
-        triples = triples[:len(triples) - len(triples) % 3].reshape(-1, 3).astype(np.int32)
-        value = triples[:, 0] | (triples[:, 1] << 8) | (triples[:, 2] << 16)
-        value -= (value & 0x800000) << 1  # sign extend
-        samples = value.astype(np.float64) / float(1 << 23)
-    elif audio_format == _IEEE_FLOAT and bits == 32:
+                             f"number of {frame}-byte samples")
+    if audio_format == _IEEE_FLOAT:
         with np.errstate(invalid="ignore"):  # a signalling NaN, refused just below
             samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
         if not np.isfinite(samples).all():
             raise WavFormatError(f"{path}: non-finite samples")
+    elif bits == 8:
+        samples = (np.frombuffer(data, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    elif bits == 24:  # the high three bytes of an int32, so the same scale as 32-bit
+        wide = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        wide[:, 1:] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 3)
+        samples = wide.view("<i4")[:, 0] / 2**31
     else:
-        raise WavFormatError(f"{path}: unsupported format code {audio_format} "
-                             f"at {bits} bits")
+        samples = np.frombuffer(data, dtype=f"<i{bits // 8}") / 2**(bits - 1)
     if channels == 2:
-        samples = samples[:len(samples) - len(samples) % 2].reshape(-1, 2).mean(axis=1)
-    if not samples.size:
-        raise WavFormatError(f"{path}: data chunk holds no complete sample")
+        samples = samples.reshape(-1, 2).mean(axis=1)
     return samples, rate, channels
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 import struct
 
@@ -5,18 +6,29 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import float32_wav_bytes
+from conftest import float32_wav_bytes, wav_bytes
 from wavecnn.audio import (CLIP_SAMPLES, SAMPLE_RATE, WavFormatError, clip_cache_name,
                            load_clip, load_wav, read_clip_cache, resample_to_8k,
                            standardize_samples, wav_clips, write_clip_cache, write_wav)
 
 
 def pcm16_wav_bytes(values, rate=8000, channels=1):
-    payload = np.asarray(values, dtype="<i2").tobytes()
-    return struct.pack("<4sI4s4sIHHIIHH4sI",
-                       b"RIFF", 36 + len(payload), b"WAVE",
-                       b"fmt ", 16, 1, channels, rate, rate * 2 * channels,
-                       2 * channels, 16, b"data", len(payload)) + payload
+    return wav_bytes(np.asarray(values, dtype="<i2").tobytes(), rate=rate, channels=channels)
+
+
+# SHA-256 of load_wav's float64 output for a fixed payload per (format code,
+# bits), mono and stereo; computed before 16- and 32-bit PCM shared one decode
+# line and 24-bit samples were read as the high bytes of an int32
+DECODE_DIGESTS = {
+    (1, 8, 1): "38935c2790cb3be81d1b20b41f17f0674f86917ae8d0c180fea1aa447a3c6ffb",
+    (1, 8, 2): "8e426fef9e033acfcc82f1f0a4791f316227b0b2cc1fb1267135654860901c47",
+    (1, 16, 1): "650c6e8c8c3e62f609f1824cdc03cbcede94a57f65104bd3cc8b39070689b6f7",
+    (1, 16, 2): "69a4ee98437bef0af45e5a2192b44d73391f90c5347457b29c088954734b693a",
+    (1, 24, 1): "5bd1d6b6e708879d4c85d794aebadcfd651909b0d47afbdfabdc42673c9c7adc",
+    (1, 24, 2): "d549ee5fd9a613e4f100430540547583ea90e0ba8b226876c22fea9e1fd5b87d",
+    (3, 32, 1): "386cc0f605746394b9fca0dc39bbfb1aa290e1d3ee7ef471e3e933d1ac0a4e8c",
+    (3, 32, 2): "ff397aafa2fb7dc1eb822fa26929731d9aa26b009b3460a7191f9bfc3a3fb07c",
+}
 
 
 class TestLoadWav:
@@ -57,11 +69,7 @@ class TestLoadWav:
             load_wav(path)
 
     def test_8bit_and_float32_payloads(self, tmp_path):
-        payload8 = bytes([128, 255, 0])
-        blob8 = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 3, b"WAVE",
-                            b"fmt ", 16, 1, 1, 8000, 8000, 1, 8,
-                            b"data", 3) + payload8
-        (tmp_path / "u8.wav").write_bytes(blob8)
+        (tmp_path / "u8.wav").write_bytes(wav_bytes(bytes([128, 255, 0]), bits=8))
         samples, _, _ = load_wav(tmp_path / "u8.wav")
         npt.assert_allclose(samples, [0.0, 127 / 128, -1.0])
 
@@ -80,12 +88,31 @@ class TestLoadWav:
     def test_24bit_payload(self, tmp_path):
         value = -(1 << 22)  # -0.5 at 24-bit full scale
         raw = struct.pack("<i", value)[:3]
-        blob = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + 3, b"WAVE",
-                           b"fmt ", 16, 1, 1, 8000, 24000, 3, 24,
-                           b"data", 3) + raw
-        (tmp_path / "p24.wav").write_bytes(blob)
+        (tmp_path / "p24.wav").write_bytes(wav_bytes(raw, bits=24))
         samples, _, _ = load_wav(tmp_path / "p24.wav")
         npt.assert_allclose(samples, [-0.5])
+
+    def test_32bit_pcm_is_exact(self, tmp_path):
+        values = np.array([-2**31, 2**30, 2**31 - 1], dtype="<i4")
+        (tmp_path / "p32.wav").write_bytes(wav_bytes(values.tobytes(), bits=32))
+        samples, _, _ = load_wav(tmp_path / "p32.wav")
+        npt.assert_array_equal(samples, [-1.0, 0.5, (2**31 - 1) / 2**31])
+
+    @pytest.mark.parametrize("audio_format, bits, channels", list(DECODE_DIGESTS),
+                             ids=[f"{('pcm', 'float')[f == 3]}{b}-{('mono', 'stereo')[c - 1]}"
+                                  for f, b, c in DECODE_DIGESTS])
+    def test_decoded_bytes_are_pinned(self, tmp_path, audio_format, bits, channels):
+        rng = np.random.default_rng(bits)
+        if audio_format == 3:
+            payload = rng.uniform(-1, 1, 600).astype("<f4").tobytes()
+        else:
+            payload = rng.integers(0, 256, 2400, dtype=np.uint8).tobytes()
+        path = tmp_path / "pinned.wav"
+        path.write_bytes(wav_bytes(payload, audio_format, bits, channels=channels))
+        samples, _, _ = load_wav(path)
+        assert samples.dtype == np.float64 and len(samples) == 2400 * 8 // bits // channels
+        digest = hashlib.sha256(samples.tobytes()).hexdigest()
+        assert digest == DECODE_DIGESTS[audio_format, bits, channels]
 
     def test_16bit_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -53,6 +53,18 @@ def train_args(cache, out, extra=()):
             "--out", str(out), *extra]
 
 
+# data chunks that end inside a frame (a 24-bit mono frame is one sample):
+# refused whole, where a shorter decode would silently drop the partial frame
+PARTIAL_FRAMES = {
+    "partial_24bit": (b"\x00\x00\x40\x00", 1, 24, 8000, 1,
+                      "4-byte data chunk is not a whole number of 3-byte samples"),
+    "partial_16bit_stereo": (b"\x00" * 6, 1, 16, 8000, 2,
+                             "6-byte data chunk is not a whole number of 4-byte samples"),
+    "partial_8bit_stereo": (b"\xa4\xa4\x80", 1, 8, 8000, 2,
+                            "3-byte data chunk is not a whole number of 2-byte samples"),
+}
+
+
 class TestPrepare:
     def test_valid_wavs_all_cached(self, corpus, cache):
         assert len(list(cache.glob("*.f32"))) == 20
@@ -94,19 +106,21 @@ class TestPrepare:
         assert len(list(out.glob("*.f32"))) == 20
         assert f"error: {bad}: non-finite samples" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload, audio_format, bits, rate, cause", [
-        (b"\x01\x02\x03", 1, 16, 8000,
+    @pytest.mark.parametrize("payload, audio_format, bits, rate, channels, cause", [
+        (b"\x01\x02\x03", 1, 16, 8000, 1,
          "3-byte data chunk is not a whole number of 2-byte samples"),
-        (b"\x00" * 6, 3, 32, 8000,
+        (b"\x00" * 6, 3, 32, 8000, 1,
          "6-byte data chunk is not a whole number of 4-byte samples"),
-        (b"\x00" * 4, 1, 16, 0, "sample rate 0 Hz"),
-        (b"", 1, 16, 8000, "data chunk holds no complete sample"),
-    ], ids=["odd_16bit", "ragged_float32", "zero_rate", "empty_data"])
+        (b"\x00" * 4, 1, 16, 0, 1, "sample rate 0 Hz"),
+        (b"", 1, 16, 8000, 1, "data chunk holds no complete sample"),
+        *PARTIAL_FRAMES.values(),
+    ], ids=["odd_16bit", "ragged_float32", "zero_rate", "empty_data", *PARTIAL_FRAMES])
     def test_undecodable_wav_reports_partial_failure(self, tmp_path, capsys, payload,
-                                                     audio_format, bits, rate, cause):
+                                                     audio_format, bits, rate, channels,
+                                                     cause):
         write_wav(tmp_path / "good.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
         bad = tmp_path / "bad.wav"
-        bad.write_bytes(wav_bytes(payload, audio_format, bits, rate))
+        bad.write_bytes(wav_bytes(payload, audio_format, bits, rate, channels))
         write_manifest(tmp_path / "manifest.csv", [("good.wav", "canonical", 6, "F00"),
                                                    ("bad.wav", "canonical", 6, "F00")])
         out = tmp_path / "cache"
@@ -611,6 +625,18 @@ class TestThreadsEnvFallback:
         assert main(train_args(cache, out)) == EXIT_USAGE
         assert cause in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("case", list(PARTIAL_FRAMES))
+def test_predict_refuses_a_partial_frame(case, run_dir, tmp_path, capsys):
+    payload, audio_format, bits, rate, channels, cause = PARTIAL_FRAMES[case]
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(wav_bytes(payload, audio_format, bits, rate, channels))
+    rc = main(["predict", "--weights", str(run_dir / "weights.bin"), "--wav", str(bad)])
+    assert rc == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {cause}\n"
 
 
 class TestLowRateWav:

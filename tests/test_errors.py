@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import wavecnn
 from conftest import wav_bytes
-from wavecnn.audio import CLIP_SAMPLES, load_clip, load_wav, wav_clips
+from wavecnn.audio import CLIP_SAMPLES, WavFormatError, load_clip, load_wav, wav_clips
 from wavecnn.cli import _CONFIG_KEYS, _SETTING_TYPES, read_config_file
 from wavecnn.data import AGES_MONTHS, RAW_LABELS, parse_manifest
 from wavecnn.tensor import WavecnnError
@@ -85,14 +85,19 @@ NOISE = np.random.default_rng(0).integers(0, 256, 64000, dtype=np.uint8).tobytes
 
 
 @st.composite
-def drawn_wavs(draw) -> bytes:
+def wav_fields(draw) -> dict:
+    """Drawn ``wav_bytes`` arguments: header fields over a prefix of NOISE."""
+    return dict(payload=NOISE[:draw(st.integers(0, len(NOISE)), label="payload bytes")],
+                audio_format=draw(st.sampled_from([1, 3, 0, 2, 0xFFFF]), label="format"),
+                bits=draw(st.sampled_from([8, 16, 24, 32, 0, 12, 64]), label="bits"),
+                rate=draw(st.one_of(st.sampled_from([8000, 11025, 44100, 0, 1, 7999]),
+                                    st.integers(0, 2 ** 28)), label="rate"),
+                channels=draw(st.sampled_from([1, 2, 0, 3]), label="channels"))
+
+
+def drawn_wavs():
     """A WAV whose header fields are drawn, over a prefix of NOISE."""
-    return wav_bytes(NOISE[:draw(st.integers(0, len(NOISE)), label="payload bytes")],
-                     audio_format=draw(st.sampled_from([1, 3, 0, 2, 0xFFFF]), label="format"),
-                     bits=draw(st.sampled_from([8, 16, 24, 32, 0, 12, 64]), label="bits"),
-                     rate=draw(st.one_of(st.sampled_from([8000, 11025, 44100, 0, 1, 7999]),
-                                         st.integers(0, 2 ** 28)), label="rate"),
-                     channels=draw(st.sampled_from([1, 2, 0, 3]), label="channels"))
+    return wav_fields().map(lambda fields: wav_bytes(**fields))
 
 
 def _pcm(x, bits):
@@ -137,6 +142,19 @@ def test_edited_or_drawn_wavs_fail_typed_or_give_clips(tmp_path, data):
     for _, clip in clips:
         assert clip.dtype == np.float32 and clip.shape == (CLIP_SAMPLES,)
         assert np.isfinite(clip).all()
+
+
+@PROPERTY
+@given(fields=wav_fields())
+def test_drawn_wavs_decode_whole_frames_or_fail_typed(tmp_path, fields):
+    path = tmp_path / "drawn.wav"
+    path.write_bytes(wav_bytes(**fields))
+    try:
+        samples, _, channels = load_wav(path)
+    except WavFormatError:
+        return
+    frame = fields["channels"] * fields["bits"] // 8
+    assert channels == fields["channels"] and len(samples) * frame == len(fields["payload"])
 
 
 @PROPERTY
