@@ -60,9 +60,8 @@ def read_config_file(path) -> dict:
     character is '#' is a comment, so a value may hold '#'; unknown keys are
     errors."""
     values = {}
-    for lineno, line in enumerate(read_utf8_lines(path, ConfigError), start=1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+    for lineno, text in read_utf8_lines(path, ConfigError):
+        if text.startswith("#"):
             continue
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
@@ -136,17 +135,17 @@ def cmd_prepare(args) -> int:
     out_manifest = out_dir / "manifest.csv"
     if out_manifest.exists() and out_manifest.samefile(manifest):
         raise ConfigError(f"--out {out_dir} holds the input manifest {manifest}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples = parse_manifest(manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = []
     for sample in samples:
         try:
             raw, rate, _ = audio.load_wav(sample.clip_path)
-            for offset_s, clip in audio.wav_clips(raw, rate, source=sample.clip_path):
-                cached = audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip)
-                rows.append((cached.name, sample.raw_label, sample.age_months,
-                             sample.family_id))
+            cached = [audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip).name
+                      for offset_s, clip in audio.wav_clips(raw, rate, source=sample.clip_path)]
+            rows += [(name, sample.raw_label, sample.age_months, sample.family_id)
+                     for name in cached]  # only once every clip of the file is cached
         except (WavecnnError, OSError) as err:
             failures.append(str(err))
             print(f"error: {err}", file=sys.stderr)

@@ -14,6 +14,7 @@ to the five-way full-label task.
 from __future__ import annotations
 
 import codecs
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ EXCLUDED = None  # mapping value for raw labels a task leaves out
 
 
 class ManifestError(WavecnnError, ValueError):
-    """Malformed manifest content; the message carries the line number."""
+    """Malformed manifest content, named as ``<file>:<line>: <cause>``."""
 
 
 class UnknownTaskError(ConfigError, KeyError):
@@ -120,53 +121,53 @@ def get_task(name: str) -> TaskSpec:
 
 
 MANIFEST_HEADER = "clip_path,raw_label,age_months,family_id"
+_LINE_END = re.compile(r"\r\n|\r|\n")  # the one line rule: universal newlines
 
 
-def read_utf8_lines(path, error=ManifestError) -> list[str]:
-    """Lines of a UTF-8 text file, less a leading byte-order mark; an
-    undecodable byte raises ``error`` naming the file and the line."""
-    # stripped here rather than by the utf-8-sig codec, whose error offsets
-    # start after the mark and so would count lines from the wrong byte
+def read_utf8_lines(path, error=ManifestError) -> list[tuple[int, str]]:
+    """``(line number, stripped text)`` of each non-blank line of a UTF-8 text
+    file, less a leading byte-order mark; an undecodable byte raises ``error``
+    as ``<file>:<line>: not UTF-8``.  Both follow the one line rule, ``_LINE_END``."""
+    # the mark goes here, not through utf-8-sig, whose error offsets would not index raw
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return raw.decode("utf-8").splitlines()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as err:
-        lineno = raw.count(b"\n", 0, err.start) + 1
+        lineno = len(_LINE_END.split(raw[:err.start].decode("utf-8")))
         raise error(f"{path}:{lineno}: not UTF-8: {err}") from None
+    numbered = enumerate(map(str.strip, _LINE_END.split(text)), start=1)
+    return [(lineno, line) for lineno, line in numbered if line]
 
 
 def parse_manifest(path) -> list[Sample]:
     """Read and validate a manifest; duplicate clip paths are rejected."""
     path = Path(path)
     lines = read_utf8_lines(path)
-    if not lines or lines[0].strip() != MANIFEST_HEADER:
-        raise ManifestError(f"{path}: first line must be '{MANIFEST_HEADER}'")
+    if not lines or lines[0] != (1, MANIFEST_HEADER):
+        raise ManifestError(f"{path}:1: first line must be '{MANIFEST_HEADER}'")
     samples = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for lineno, line in lines[1:]:
+        where = f"{path}:{lineno}"
         parts = line.split(",")
         if len(parts) != 4:
-            raise ManifestError(f"{path}: expected 4 fields at line {lineno}, "
-                                f"got {len(parts)}")
+            raise ManifestError(f"{where}: expected 4 fields, got {len(parts)}")
         clip_path, raw_label, age_text, family_id = (p.strip() for p in parts)
         if raw_label not in RAW_LABELS:
-            raise ManifestError(f"{path}: unknown raw_label {raw_label!r} at line {lineno}")
+            raise ManifestError(f"{where}: unknown raw_label {raw_label!r}")
         try:
             age = int(age_text)
         except ValueError:
-            raise ManifestError(f"{path}: bad age_months {age_text!r} at line {lineno}")
+            raise ManifestError(f"{where}: bad age_months {age_text!r}")
         if age not in AGES_MONTHS:
-            raise ManifestError(f"{path}: unknown age_months {age} at line {lineno}; "
+            raise ManifestError(f"{where}: unknown age_months {age}; "
                                 f"expected one of {AGES_MONTHS}")
         if not family_id:
-            raise ManifestError(f"{path}: empty family_id at line {lineno}")
+            raise ManifestError(f"{where}: empty family_id")
         resolved = clip_path if Path(clip_path).is_absolute() \
             else str((path.parent / clip_path))
         if resolved in seen:
-            raise ManifestError(f"{path}: duplicate clip_path {clip_path!r} "
-                                f"at line {lineno}")
+            raise ManifestError(f"{where}: duplicate clip_path {clip_path!r}")
         seen.add(resolved)
         samples.append(Sample(resolved, raw_label, age, family_id))
     return samples

@@ -33,7 +33,7 @@ Seeds: ``build_model``/``build_from_specs`` with an integer seed draw
 Glorot-uniform weights, bitwise the same for the same seed.  With
 ``seed=None`` they draw nothing and every parameter starts at zero; such a
 model exists only to be filled (``load_weights``) or to be described
-(``wavecnn params``), and records ``config.seed = None``.
+(``wavecnn params``).
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ class ModelConfig:
     variant: str
     dense_head: bool = False
     input_samples: int = INPUT_SAMPLES
-    seed: int | None = 0          # None: built without drawing any weights
 
 
 class Model:
@@ -288,7 +287,7 @@ def build_from_specs(specs: list[LayerSpec], *, input_samples: int = INPUT_SAMPL
     variant = next((name for name, table in _TABLES.items() if input_samples == INPUT_SAMPLES
                     and specs == table(num_classes, dense_head)), "custom")
     rng = None if seed is None else np.random.default_rng(seed)
-    config = ModelConfig(specs, num_classes, variant, dense_head, input_samples, seed)
+    config = ModelConfig(specs, num_classes, variant, dense_head, input_samples)
     return Model(config, _build_chain(specs, (1, input_samples), rng, dtype))
 
 

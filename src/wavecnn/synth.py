@@ -22,6 +22,7 @@ from .tensor import ConfigError
 FAMILY_COLORATION = 0.4  # first-order filter coefficients are drawn from +-this
 PEAK = 0.9               # post-normalization waveform peak
 MAX_CLIPS = 100_000      # clips, and families, per corpus: 1.6 GB of WAVs
+MAX_NOISE_FLOOR = 1e300  # noise times a standard-normal draw stays finite
 
 
 @dataclass
@@ -43,8 +44,9 @@ class SynthSpec:
                               f"clips and {self.families} families")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (np.isfinite(self.noise_floor) and self.noise_floor >= 0):
-            raise ConfigError(f"noise_floor must be finite and >= 0, got {self.noise_floor}")
+        if not 0 <= self.noise_floor <= MAX_NOISE_FLOOR:  # NaN fails too
+            raise ConfigError(f"noise_floor must be finite, >= 0 and <= {MAX_NOISE_FLOOR:g}, "
+                              f"got {self.noise_floor}")
 
     @property
     def carrier_bands_hz(self) -> list[tuple[float, float]]:

@@ -4,9 +4,10 @@ Arrays are plain numpy ndarrays kept in row-major (C) order.  Training state
 uses float32; gradient checking uses float64, because central differences at
 step 1e-5 drown in float32 rounding noise.
 
-Every error the package raises on purpose derives from :class:`WavecnnError`
-and keeps the builtin base a caller expects; the command line reports these
-and ``OSError`` as the user's, and any other exception as a bug.
+What a user's input, settings or files can cause raises a :class:`WavecnnError`
+that keeps the builtin base a caller expects; the command line reports these
+and ``OSError`` as the user's.  A library caller's misuse (say a bad
+``gemm_acc`` layout) raises a plain builtin, which it reports as a bug.
 """
 
 from __future__ import annotations

@@ -283,8 +283,6 @@ class LofoResult:
     reports: dict[str, EvalReport]      # family id -> held-out-family report
     baseline: EvalReport                # random-holdout baseline
     mean_accuracy: float
-    min_accuracy: float
-    max_accuracy: float
     accuracy_drop: float                # baseline minus mean over families
 
 
@@ -315,5 +313,5 @@ def lofo_sweep(samples: list[Sample], task: TaskSpec, config: TrainConfig,
                                    threads=config.threads)
     baseline = reports.pop(None)
     accs = [r.overall_accuracy for r in reports.values()]
-    return LofoResult(reports, baseline, float(np.mean(accs)), min(accs),
-                      max(accs), baseline.overall_accuracy - float(np.mean(accs)))
+    mean = float(np.mean(accs))
+    return LofoResult(reports, baseline, mean, baseline.overall_accuracy - mean)

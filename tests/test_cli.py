@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -20,13 +21,14 @@ from hypothesis import strategies as st
 
 import wavecnn
 from conftest import float32_wav_bytes, wav_bytes
-from wavecnn import cli, layers
-from wavecnn.audio import load_clip, read_clip_cache, write_wav
+from wavecnn import audio, cli, layers
+from wavecnn.audio import load_clip, read_clip_cache, write_clip_cache, write_wav
 from wavecnn.cli import (EXIT_INTERNAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main,
                          read_config_file)
 from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.model import build_model, load_weights, save_weights
-from wavecnn.synth import SynthSpec, generate
+from wavecnn.synth import MAX_NOISE_FLOOR, SynthSpec, generate
+from wavecnn.tensor import ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,38 @@ class TestPrepare:
         assert not list(tmp_path.glob("*.f32"))
         assert capsys.readouterr().err == (f"error: --out {tmp_path} holds the input "
                                            f"manifest {manifest}\n")
+
+    def test_file_that_fails_mid_way_adds_no_row(self, tmp_path, monkeypatch, capsys):
+        write_wav(tmp_path / "one.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        write_wav(tmp_path / "three.wav", 0.5 * np.sin(np.arange(3 * 8000) / 8.0))
+        write_manifest(tmp_path / "manifest.csv", [("one.wav", "canonical", 6, "F00"),
+                                                   ("three.wav", "canonical", 6, "F00")])
+        calls = []
+
+        def third_write_fails(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise OSError("No space left on device")
+            return write_clip_cache(*args)
+
+        monkeypatch.setattr(audio, "write_clip_cache", third_write_fails)
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        assert capsys.readouterr().out.startswith("cached 1 clips from 1 files")
+        [row] = parse_manifest(out / "manifest.csv")
+        assert read_clip_cache(row.clip_path).tobytes() == \
+            load_clip(tmp_path / "one.wav").tobytes()
+
+    def test_bad_manifest_exits_2_before_creating_out(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.csv"
+        manifest.write_text("path,label\n")
+        out = tmp_path / "new" / "dir"
+        rc = main(["prepare", "--manifest", str(manifest), "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {manifest}:1: first line")
+        assert not (tmp_path / "new").exists()
 
     def test_long_recording_becomes_multiple_clips(self, tmp_path):
         import numpy as np
@@ -309,6 +343,29 @@ class TestTrain:
                      "--out", str(second)]) == EXIT_OK
         for name in ("run_log.jsonl", "weights.bin", "report.json", "config.resolved"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_config_resolved_reruns_from_a_path_holding_a_line_separator(self, cache,
+                                                                          tmp_path):
+        # str.splitlines breaks at U+2028; a config line does not
+        odd = tmp_path / "a\u2028b"
+        shutil.copytree(cache, odd)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(train_args(odd, first)) == EXIT_OK
+        resolved = read_config_file(first / "config.resolved")
+        assert resolved["manifest"] == str((odd / "manifest.csv").resolve())
+        assert main(["train", "--config", str(first / "config.resolved"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in ("run_log.jsonl", "weights.bin", "report.json", "config.resolved"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["cr", "crlf"])
+    def test_config_lines_end_at_cr_lf_or_crlf(self, tmp_path, end):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(end.join([b"# a run", b"seed=3", b"", b"max_epochs=2", b""]))
+        assert read_config_file(config) == {"seed": 3, "max_epochs": 2}
+        config.write_bytes(end.join([b"# a run", b"seed=3", b"split=lofo:F\xff", b""]))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(config))}:3: not UTF-8"):
+            read_config_file(config)
 
     def test_only_whole_lines_are_comments(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -593,6 +650,12 @@ class TestGradcheckAndSynth:
         assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_synth_noise_at_its_bound_writes_a_corpus(self, tmp_path, capsys):
+        out_dir = tmp_path / "gen"
+        assert main(["synth", "--out", str(out_dir), "--classes", "1", "--clips-per-class",
+                     "2", "--noise", repr(MAX_NOISE_FLOOR)]) == EXIT_OK
+        assert len(list(out_dir.glob("*.wav"))) == 2
+
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_synth_non_finite_noise_exits_2_before_any_file(self, tmp_path, capsys, noise):
         out_dir = tmp_path / "gen"
@@ -795,6 +858,8 @@ TYPED_INPUT_ERRORS = {
     "synth --clips-per-class 2**63": "a corpus holds at most 100000 clips and as many "
                                      "families, got 3 x 9223372036854775808 clips",
     "synth --families 2**63": "and 9223372036854775808 families",
+    "synth --noise 1.7976931348623157e308": "noise_floor must be finite, >= 0 and <= 1e+300, "
+                                            "got 1.7976931348623157e+308",
     "eval overflowing weights": ".f32: non-finite logits [nan nan]",
     "predict overflowing weights": "{wav}: non-finite logits: [nan nan] under weights {weights}",
 }
@@ -821,6 +886,8 @@ def test_typed_input_errors_exit_2_with_their_message(case, corpus, cache,
                                           "--clips-per-class", str(2**63)],
         "synth --families 2**63": ["synth", "--out", str(tmp_path / "run"),
                                    "--families", str(2**63)],
+        "synth --noise 1.7976931348623157e308": ["synth", "--out", str(tmp_path / "run"),
+                                                 "--noise", "1.7976931348623157e308"],
         "eval overflowing weights": ["eval", "--weights", str(overflowing_weights),
                                      "--manifest", manifest, "--task", "vocal_vs_nonvocal"],
         "predict overflowing weights": ["predict", "--weights", str(overflowing_weights),
@@ -917,7 +984,8 @@ def test_refused_non_finite_value_prints_one_error_line(case, corpus, cache,
 
 # each flag type's edges; the path into a missing directory is relative, so
 # it stays inside the working directory a run starts in
-FLOAT_EDGES = ("0", "1e-45", "-1e-45", "1e38", "-1e38", "3.4e38", "inf", "-inf", "nan", "0.5")
+FLOAT_EDGES = ("0", "1e-45", "-1e-45", "1e38", "-1e38", "3.4e38", "1.7976931348623157e308",
+               "-1.7976931348623157e308", "inf", "-inf", "nan", "0.5")
 INT_EDGES = ("0", "-1", str(2**63), "1", "2")
 STRING_EDGES = ("", "näme-☃", os.path.join("missing", "dir", "file"))
 # flags whose larger values cost only time or threads are drawn up to these

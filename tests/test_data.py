@@ -38,19 +38,22 @@ class TestParseManifest:
     def test_unknown_label_with_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\na.wav,canonical,9,F03\nb.wav,crying,9,F03\n")
-        with pytest.raises(ManifestError, match=r"crying.*line 3"):
+        with pytest.raises(ManifestError,
+                           match=rf"^{re.escape(str(path))}:3: unknown raw_label 'crying'$"):
             parse_manifest(path)
 
     def test_unknown_age_with_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\na.wav,ids,12,F03\n")
-        with pytest.raises(ManifestError, match="line 2"):
+        with pytest.raises(ManifestError,
+                           match=rf"^{re.escape(str(path))}:2: unknown age_months 12;"):
             parse_manifest(path)
 
     def test_duplicate_clip_path_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\na.wav,ids,3,F01\na.wav,ads,3,F01\n")
-        with pytest.raises(ManifestError, match=r"duplicate.*line 3"):
+        with pytest.raises(ManifestError,
+                           match=rf"^{re.escape(str(path))}:3: duplicate clip_path 'a.wav'$"):
             parse_manifest(path)
 
     def test_non_utf8_byte_names_file_and_line(self, tmp_path):
@@ -58,6 +61,44 @@ class TestParseManifest:
         path.write_bytes(f"{HEADER}\na.wav,ids,3,F01\n".encode()
                          + b"b\xff.wav,ids,3,F01\n")
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: not UTF-8"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_undecodable_byte_is_numbered_by_the_line_rule(self, tmp_path, end):
+        path = tmp_path / "m.csv"
+        path.write_bytes(f"{HEADER}{end}a.wav,ids,3,F01{end}".encode()
+                         + f"b\xff.wav,ids,3,F01{end}".encode("latin-1"))
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: not UTF-8"):
+            parse_manifest(path)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_lines_end_at_cr_lf_or_crlf(self, tmp_path, end):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}{end}a.wav,ids,3,F01{end}{end}b.wav,ads,6,F02{end}",
+                        newline="")
+        assert [s.family_id for s in parse_manifest(path)] == ["F01", "F02"]
+        path.write_text(f"{HEADER}{end}a.wav,ids,3,F01{end}{end}b.wav,crying,6,F02{end}",
+                        newline="")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:4: unknown raw_label"):
+            parse_manifest(path)
+
+    # str.splitlines also breaks at these; a manifest line does not
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"])
+    def test_no_other_character_ends_a_line(self, tmp_path, char):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\na.wav,ids,3,F{char}01\n", encoding="utf-8")
+        [sample] = parse_manifest(path)
+        assert sample.family_id == f"F{char}01"
+        path.write_text(f"{HEADER}\na.wav,ids,3,F{char}01,x\n", encoding="utf-8")
+        with pytest.raises(ManifestError,
+                           match=rf"^{re.escape(str(path))}:2: expected 4 fields, got 5$"):
+            parse_manifest(path)
+
+    def test_blank_first_line_is_not_the_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"\n{HEADER}\na.wav,ids,3,F01\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:1: first line"):
             parse_manifest(path)
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
