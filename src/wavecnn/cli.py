@@ -109,12 +109,12 @@ def _run_dir(out, config: TrainConfig) -> Path:
 
 
 def _write_resolved(run_dir: Path, config: TrainConfig, manifest: Path,
-                    *comments: str) -> None:
-    """Write every setting and the manifest as a file ``--config`` reads
-    back; ``comments`` become '#' lines, which it skips."""
+                    weights=None) -> None:
+    """Write every setting and the manifest's absolute path as a file ``--config``
+    reads back, and that of ``weights``, if given, as a '#' line it skips."""
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(TrainConfig)]
     lines.append(f"manifest={manifest.resolve()}")
-    lines += [f"# {comment}" for comment in comments]
+    lines += [f"# weights={Path(weights).resolve()}"] if weights else []
     (run_dir / "config.resolved").write_text("\n".join(lines) + "\n")
 
 
@@ -140,13 +140,17 @@ def cmd_prepare(args) -> int:
     rows = []
     failures = []
     for sample in samples:
+        cached = []  # named before its write, so a write that fails part way is removed too
         try:
             raw, rate, _ = audio.load_wav(sample.clip_path)
-            cached = [audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip).name
-                      for offset_s, clip in audio.wav_clips(raw, rate, source=sample.clip_path)]
+            for offset_s, clip in audio.wav_clips(raw, rate, source=sample.clip_path):
+                cached.append(audio.clip_cache_name(sample.clip_path, offset_s))
+                audio.write_clip_cache(out_dir, sample.clip_path, offset_s, clip)
             rows += [(name, sample.raw_label, sample.age_months, sample.family_id)
-                     for name in cached]  # only once every clip of the file is cached
+                     for name in cached]  # a recording enters --out whole or not at all
         except (WavecnnError, OSError) as err:
+            for name in cached:
+                (out_dir / name).unlink(missing_ok=True)
             failures.append(str(err))
             print(f"error: {err}", file=sys.stderr)
     write_manifest(out_manifest, rows)
@@ -210,7 +214,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, samples, task, load_clips(samples), threads=config.threads)
     if paths.get("out"):
         run_dir = _run_dir(paths["out"], config)
-        _write_resolved(run_dir, config, manifest, f"weights={args.weights}")
+        _write_resolved(run_dir, config, manifest, args.weights)
         (run_dir / "report.json").write_text(report.to_json() + "\n")
         (run_dir / "report.csv").write_text(report.to_csv())
     print(report.to_json())

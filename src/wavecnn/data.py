@@ -2,8 +2,9 @@
 
 A manifest is a UTF-8 CSV with the exact header
 ``clip_path,raw_label,age_months,family_id`` and one row per 1-second clip.
-Fields are never quoted, so paths must not contain commas.  Relative clip
-paths are resolved against the manifest's directory.
+Fields are never quoted, so paths must not contain commas.  A clip path is
+joined onto the manifest's directory (an absolute one replaces it), which
+collapses ``//`` and ``/./``: two spellings of one clip are a duplicate.
 
 The five raw labels describe who vocalized and how; a :class:`TaskSpec` maps
 them onto task classes (or excludes them).  ``builtin_tasks`` provides the
@@ -164,8 +165,7 @@ def parse_manifest(path) -> list[Sample]:
                                 f"expected one of {AGES_MONTHS}")
         if not family_id:
             raise ManifestError(f"{where}: empty family_id")
-        resolved = clip_path if Path(clip_path).is_absolute() \
-            else str((path.parent / clip_path))
+        resolved = str(path.parent / clip_path)  # the one spelling of the clip
         if resolved in seen:
             raise ManifestError(f"{where}: duplicate clip_path {clip_path!r}")
         seen.add(resolved)

@@ -13,10 +13,6 @@ BETA2 = 0.999
 EPS = 1e-8
 
 
-class NonFiniteGradient(NonFiniteError):
-    """A gradient contained NaN or inf; the batch must be aborted."""
-
-
 def glorot_init(shape, fan_in: int, fan_out: int, rng: np.random.Generator,
                 dtype=DTYPE) -> np.ndarray:
     """Uniform draw on (-L, L) with L = sqrt(6 / (fan_in + fan_out)).
@@ -48,15 +44,15 @@ class Adam:
 
     def step(self, grads: list[np.ndarray], names: list[str] | None = None) -> None:
         """Update every parameter in place, with overflow warnings off.  A
-        non-finite gradient raises NonFiniteGradient before anything changes;
-        moments that overflow, or a parameter the step leaves non-finite,
-        raise NonFiniteError.  Each names the parameter (``names[i]``, or its index)."""
+        non-finite gradient (checked before anything changes), moments that
+        overflow, or a parameter the step leaves non-finite raise
+        NonFiniteError naming the parameter (``names[i]``, or its index)."""
         if len(grads) != len(self.params):
             raise ValueError(f"got {len(grads)} gradients for {len(self.params)} parameters")
         names = names or [f"parameter {i}" for i in range(len(grads))]
         for name, g in zip(names, grads):
             if not np.all(np.isfinite(g)):
-                raise NonFiniteGradient(f"non-finite gradient in {name}")
+                raise NonFiniteError(f"non-finite gradient in {name}")
         self.t += 1
         c1 = 1.0 - BETA1 ** self.t
         c2 = 1.0 - BETA2 ** self.t

@@ -174,6 +174,33 @@ class TestPrepare:
         [row] = parse_manifest(out / "manifest.csv")
         assert read_clip_cache(row.clip_path).tobytes() == \
             load_clip(tmp_path / "one.wav").tobytes()
+        assert [p.name for p in out.glob("*.f32")] == [Path(row.clip_path).name]
+
+    @pytest.mark.parametrize("failing_write", [2, 3, 4])
+    def test_clip_write_that_fails_part_way_leaves_no_clip_of_its_file(
+            self, tmp_path, monkeypatch, capsys, failing_write):
+        write_wav(tmp_path / "one.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        write_wav(tmp_path / "three.wav", 0.5 * np.sin(np.arange(3 * 8000) / 8.0))
+        write_manifest(tmp_path / "manifest.csv", [("one.wav", "canonical", 6, "F00"),
+                                                   ("three.wav", "canonical", 6, "F00")])
+        calls = []
+
+        def write_half_then_fail(cache_dir, source, offset_s, samples):
+            calls.append(offset_s)
+            if len(calls) == failing_write:
+                (cache_dir / audio.clip_cache_name(source, offset_s)).write_bytes(
+                    samples.astype("<f4").tobytes()[:16000])
+                raise OSError("No space left on device")
+            return write_clip_cache(cache_dir, source, offset_s, samples)
+
+        monkeypatch.setattr(audio, "write_clip_cache", write_half_then_fail)
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        assert capsys.readouterr().out.startswith("cached 1 clips from 1 files")
+        [row] = parse_manifest(out / "manifest.csv")
+        assert [p.name for p in out.glob("*.f32")] == [Path(row.clip_path).name]
 
     def test_bad_manifest_exits_2_before_creating_out(self, tmp_path, capsys):
         manifest = tmp_path / "bad.csv"
@@ -516,6 +543,16 @@ class TestEvalPredictParams:
                      "--out", str(second)]) == EXIT_OK
         for name in ("report.json", "config.resolved"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_eval_records_relative_weights_by_absolute_path(self, cache, run_dir, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.chdir(run_dir.parent)
+        out = tmp_path / "ev"
+        assert main(["eval", "--weights", f"{run_dir.name}/weights.bin",
+                     "--manifest", str(cache / "manifest.csv"),
+                     "--task", "vocal_vs_nonvocal", "--out", str(out)]) == EXIT_OK
+        resolved = (out / "config.resolved").read_text().splitlines()
+        assert f"# weights={(run_dir / 'weights.bin').resolve()}" in resolved
 
     def test_eval_into_a_training_run_exits_2_and_keeps_its_files(self, cache, run_dir,
                                                                    capsys):

@@ -56,6 +56,21 @@ class TestParseManifest:
                            match=rf"^{re.escape(str(path))}:3: duplicate clip_path 'a.wav'$"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize("twin", ["/d/sub//c.f32", "/d/sub/./c.f32"],
+                             ids=["double_slash", "dot"])
+    def test_two_spellings_of_one_absolute_path_are_a_duplicate(self, tmp_path, twin):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\n/d/sub/c.f32,ids,3,F01\n{twin},ads,3,F01\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: "
+                                                rf"duplicate clip_path {re.escape(repr(twin))}$"):
+            parse_manifest(path)
+
+    def test_normal_absolute_path_resolves_to_its_own_text(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\n/d/sub/c.f32,ids,3,F01\na.wav,ads,3,F01\n")
+        assert [s.clip_path for s in parse_manifest(path)] == \
+            ["/d/sub/c.f32", str(tmp_path / "a.wav")]
+
     def test_non_utf8_byte_names_file_and_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes(f"{HEADER}\na.wav,ids,3,F01\n".encode()

@@ -30,7 +30,6 @@ BUILTIN_BASES = {
     "wavecnn.data.ManifestError": ValueError,
     "wavecnn.data.UnknownTaskError": KeyError,
     "wavecnn.model.WeightsFormatError": ValueError,
-    "wavecnn.optim.NonFiniteGradient": FloatingPointError,
     "wavecnn.tensor.ConfigError": ValueError,
     "wavecnn.tensor.NonFiniteError": FloatingPointError,
     "wavecnn.tensor.ShapeError": ValueError,
