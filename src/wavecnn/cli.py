@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 import traceback
@@ -74,13 +73,9 @@ def read_config_file(path) -> dict:
 
 def resolve_train_config(args) -> tuple[TrainConfig, dict]:
     """Merge the settings, later sources winning: TrainConfig's defaults,
-    WAVENET_THREADS, the --config file, the flags.  Returns the config, not
-    yet validated, and the ``manifest``/``out`` paths."""
-    values = {}
-    if env := os.environ.get("WAVENET_THREADS"):
-        values["threads"] = _typed("threads", env, "WAVENET_THREADS")
-    if args.config:
-        values.update(read_config_file(args.config))
+    the --config file, the flags.  Returns the config, not yet validated,
+    and the ``manifest``/``out`` paths."""
+    values = read_config_file(args.config) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
                   if key in _CONFIG_KEYS and value is not None)
     paths = {key: values.pop(key) for key in ("manifest", "out") if key in values}
@@ -132,10 +127,9 @@ def _task_for(model, name: str) -> TaskSpec:
 def cmd_prepare(args) -> int:
     manifest = _require_manifest(args.manifest)
     out_dir = Path(args.out or "clip_cache")
-    out_manifest = out_dir / "manifest.csv"
-    if out_manifest.exists() and out_manifest.samefile(manifest):
-        raise ConfigError(f"--out {out_dir} holds the input manifest {manifest}")
     samples = parse_manifest(manifest)
+    if out_dir.is_dir() and any(out_dir.iterdir()):  # so --out holds this run's files only
+        raise ConfigError(f"--out {out_dir} is not empty")
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     failures = []
@@ -153,7 +147,7 @@ def cmd_prepare(args) -> int:
                 (out_dir / name).unlink(missing_ok=True)
             failures.append(str(err))
             print(f"error: {err}", file=sys.stderr)
-    write_manifest(out_manifest, rows)
+    write_manifest(out_dir / "manifest.csv", rows)
     print(f"cached {len(rows)} clips from {len(samples) - len(failures)} files "
           f"into {out_dir} ({len(failures)} failed)")
     return EXIT_PARTIAL if failures else EXIT_OK
@@ -223,7 +217,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_weights(args.weights)
-    names = _task_for(model, args.task).class_names if args.task else None
+    names = _task_for(model, args.task).class_names if args.task is not None else None
     clip = audio.load_clip(args.wav)
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # softmax refuses the result
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest")
         p.add_argument("--task")
         p.add_argument("--threads", type=_SETTING_TYPES["threads"],
-                       help="worker threads (default 1; env WAVENET_THREADS)")
+                       help="worker threads (default 1)")
         p.add_argument("--out", help="run output directory (default: timestamped)")
 
     p = sub.add_parser("prepare", help="ingest WAVs into the standardized clip cache")

@@ -3,8 +3,9 @@
 A manifest is a UTF-8 CSV with the exact header
 ``clip_path,raw_label,age_months,family_id`` and one row per 1-second clip.
 Fields are never quoted, so paths must not contain commas.  A clip path is
-joined onto the manifest's directory (an absolute one replaces it), which
-collapses ``//`` and ``/./``: two spellings of one clip are a duplicate.
+joined onto the manifest's directory (an absolute one replaces it), and that
+join is the sample's path.  Two rows that reach one file, by whatever
+spelling, ``..`` or symbolic link, are a duplicate.
 
 The five raw labels describe who vocalized and how; a :class:`TaskSpec` maps
 them onto task classes (or excludes them).  ``builtin_tasks`` provides the
@@ -15,6 +16,7 @@ to the five-way full-label task.
 from __future__ import annotations
 
 import codecs
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,7 +143,7 @@ def read_utf8_lines(path, error=ManifestError) -> list[tuple[int, str]]:
 
 
 def parse_manifest(path) -> list[Sample]:
-    """Read and validate a manifest; duplicate clip paths are rejected."""
+    """Read and validate a manifest; two rows that reach one file are rejected."""
     path = Path(path)
     lines = read_utf8_lines(path)
     if not lines or lines[0] != (1, MANIFEST_HEADER):
@@ -165,11 +167,14 @@ def parse_manifest(path) -> list[Sample]:
                                 f"expected one of {AGES_MONTHS}")
         if not family_id:
             raise ManifestError(f"{where}: empty family_id")
-        resolved = str(path.parent / clip_path)  # the one spelling of the clip
-        if resolved in seen:
+        if "\0" in clip_path:  # no system call takes such a path
+            raise ManifestError(f"{where}: NUL byte in clip_path")
+        joined = path.parent / clip_path  # its spelling names the clip's cache files
+        target = os.path.realpath(joined)  # not Path.resolve, which raises on a link loop
+        if target in seen:
             raise ManifestError(f"{where}: duplicate clip_path {clip_path!r}")
-        seen.add(resolved)
-        samples.append(Sample(resolved, raw_label, age, family_id))
+        seen.add(target)
+        samples.append(Sample(str(joined), raw_label, age, family_id))
     return samples
 
 

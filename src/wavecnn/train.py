@@ -3,7 +3,8 @@
 One training step: shuffle into batches, run each sample forward, average
 softmax cross-entropy gradients over the batch, add the L2 term, take an Adam
 step.  Training stops at ``max_epochs`` or once the relative loss improvement
-stays under ``converge_rel`` for ``converge_patience`` consecutive epochs.
+stays under ``CONVERGE_REL`` (1e-4) for ``CONVERGE_PATIENCE`` (10) consecutive
+epochs.
 
 Every thread count runs the same code: each :func:`train` or
 :func:`evaluate` call maps every sample through one :func:`_runner`, which
@@ -49,6 +50,9 @@ from .layers import param_slots, softmax_xent
 from .model import Model, build_model
 from .optim import Adam, l2_penalty
 from .tensor import ConfigError, NonFiniteError, WavecnnError
+
+CONVERGE_REL = 1e-4     # an epoch that improves the loss by less is stale
+CONVERGE_PATIENCE = 10  # this many stale epochs in a row end training
 
 
 @functools.cache
@@ -97,8 +101,6 @@ class TrainConfig:
     test_fraction: float = 0.2
     threads: int = 1
     dense_head: bool = False
-    converge_rel: float = 1e-4
-    converge_patience: int = 10
 
     def validate(self) -> None:
         """Raise ConfigError naming the first setting out of its range.
@@ -107,15 +109,13 @@ class TrainConfig:
         does not, so a library caller may still train with ``lr=0`` to hold
         the weights fixed.
         """
-        for name in ("max_epochs", "batch_size", "threads", "converge_patience"):
+        for name in ("max_epochs", "batch_size", "threads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("lam", "converge_rel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if not 0 < self.test_fraction < 1:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
@@ -231,8 +231,8 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
                 break
             if prev_loss is not None:
                 improved = (prev_loss - epoch_loss) / max(abs(prev_loss), 1e-12)
-                stale_epochs = stale_epochs + 1 if improved < config.converge_rel else 0
-                if stale_epochs >= config.converge_patience:
+                stale_epochs = stale_epochs + 1 if improved < CONVERGE_REL else 0
+                if stale_epochs >= CONVERGE_PATIENCE:
                     stop_reason = f"converged at epoch {epoch}"
                     break
             prev_loss = epoch_loss

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from wavecnn.data import parse_manifest, write_manifest
 from wavecnn.model import build_model, load_weights, save_weights
 from wavecnn.synth import MAX_NOISE_FLOOR, SynthSpec, generate
 from wavecnn.tensor import ConfigError
+from wavecnn.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,12 @@ def train_args(cache, out, extra=()):
             "--task", "vocal_vs_nonvocal", "--variant", "without_inception",
             "--seed", "7", "--epochs", "2", "--batch", "4",
             "--out", str(out), *extra]
+
+
+def subparsers():
+    """The parser of each command, by name."""
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 # data chunks that end inside a frame (a 24-bit mono frame is one sample):
@@ -149,8 +157,37 @@ class TestPrepare:
         assert rc == EXIT_USAGE
         assert manifest.read_bytes() == before
         assert not list(tmp_path.glob("*.f32"))
-        assert capsys.readouterr().err == (f"error: --out {tmp_path} holds the input "
-                                           f"manifest {manifest}\n")
+        assert capsys.readouterr().err == f"error: --out {tmp_path} is not empty\n"
+
+    def test_second_run_into_one_out_exits_2_and_changes_no_file(self, corpus, cache,
+                                                                 capsys):
+        _, manifest = corpus
+        before = {path: path.read_bytes() for path in cache.iterdir()}
+        rc = main(["prepare", "--manifest", str(manifest), "--out", str(cache)])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out {cache} is not empty\n"
+        assert {path: path.read_bytes() for path in cache.iterdir()} == before
+
+    def test_existing_empty_out_is_accepted(self, corpus, cache, tmp_path):
+        _, manifest = corpus
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert main(["prepare", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(p.name for p in cache.iterdir())
+
+    def test_symbolic_link_loop_counts_as_failed(self, tmp_path, capsys):
+        write_wav(tmp_path / "good.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
+        (tmp_path / "loop.wav").symlink_to("loop.wav")
+        write_manifest(tmp_path / "manifest.csv", [("good.wav", "canonical", 6, "F00"),
+                                                   ("loop.wav", "canonical", 6, "F00")])
+        out = tmp_path / "cache"
+        rc = main(["prepare", "--manifest", str(tmp_path / "manifest.csv"),
+                   "--out", str(out)])
+        assert rc == EXIT_PARTIAL
+        assert str(tmp_path / "loop.wav") in capsys.readouterr().err
+        [row] = parse_manifest(out / "manifest.csv")
+        assert [p.name for p in out.glob("*.f32")] == [Path(row.clip_path).name]
 
     def test_file_that_fails_mid_way_adds_no_row(self, tmp_path, monkeypatch, capsys):
         write_wav(tmp_path / "one.wav", 0.5 * np.sin(np.arange(8000) / 8.0))
@@ -400,11 +437,21 @@ class TestTrain:
         assert read_config_file(config) == {"split": "lofo:F#1"}
 
     def test_convergence_settings_from_config_file(self, cache, tmp_path, capsys):
+        """The early-stopping rule is a pair of constants, not config keys."""
         config = tmp_path / "run.cfg"
         config.write_text("converge_rel=1\nconverge_patience=1\n")
         run = tmp_path / "run"
-        assert main(train_args(cache, run, extra=["--config", str(config),
-                                                   "--epochs", "5"])) == EXIT_OK
+        assert main(train_args(cache, run, extra=["--config", str(config)])) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: {config}:1: unknown config key 'converge_rel'\n"
+        assert not run.exists()
+
+    def test_convergence_stop_through_the_command_line(self, cache, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr("wavecnn.train.CONVERGE_REL", 1)
+        monkeypatch.setattr("wavecnn.train.CONVERGE_PATIENCE", 1)
+        run = tmp_path / "run"
+        assert main(train_args(cache, run, extra=["--epochs", "5"])) == EXIT_OK
         assert len((run / "run_log.jsonl").read_text().splitlines()) == 2
         assert "converged at epoch 1" in capsys.readouterr().out
 
@@ -507,6 +554,10 @@ class TestEvalPredictParams:
         assert main(args + ["--task", "bogus"]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(
             "error: unknown task 'bogus'; known tasks: infant_vs_adult, ")
+        assert main(args + ["--task", ""]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown task ''; known tasks: ")
 
     def test_eval_ignores_training_settings_it_does_not_read(self, cache, run_dir,
                                                              tmp_path, capsys):
@@ -518,16 +569,16 @@ class TestEvalPredictParams:
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["num_test"] == 20
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_eval_threads_zero_exits_2(self, cache, run_dir, tmp_path, monkeypatch,
-                                       capsys, source):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_eval_threads_zero_exits_2(self, cache, run_dir, tmp_path, capsys, source):
         args = ["eval", "--weights", str(run_dir / "weights.bin"),
                 "--manifest", str(cache / "manifest.csv"),
                 "--task", "vocal_vs_nonvocal", "--out", str(tmp_path / "ev")]
         if source == "flag":
             args += ["--threads", "0"]
         else:
-            monkeypatch.setenv("WAVENET_THREADS", "0")
+            (tmp_path / "run.cfg").write_text("threads=0\n")
+            args += ["--config", str(tmp_path / "run.cfg")]
         assert main(args) == EXIT_USAGE
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
@@ -701,30 +752,18 @@ class TestGradcheckAndSynth:
         assert not out_dir.exists()
 
 
-class TestThreadsEnvFallback:
-    def test_wavenet_threads_env(self, cache, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVENET_THREADS", "2")
-        run = tmp_path / "env_run"
-        assert main(train_args(cache, run)) == EXIT_OK
-        assert "threads=2" in (run / "config.resolved").read_text()
+def test_threads_come_from_no_environment_variable(cache, tmp_path, monkeypatch):
+    monkeypatch.setenv("WAVENET_THREADS", "x")
+    run = tmp_path / "run"
+    assert main(train_args(cache, run)) == EXIT_OK
+    assert "threads=1" in (run / "config.resolved").read_text().splitlines()
 
-    def test_explicit_flag_beats_env(self, cache, tmp_path, monkeypatch):
-        monkeypatch.setenv("WAVENET_THREADS", "4")
-        run = tmp_path / "flag_run"
-        assert main(train_args(cache, run, extra=["--threads", "1"])) == EXIT_OK
-        assert "threads=1" in (run / "config.resolved").read_text()
 
-    @pytest.mark.parametrize("value,cause", [
-        ("0", "threads must be >= 1"),
-        ("x", "WAVENET_THREADS: bad value for threads: 'x'"),
-    ], ids=["zero", "not-a-number"])
-    def test_bad_env_value_exits_2(self, cache, tmp_path, monkeypatch, capsys,
-                                   value, cause):
-        monkeypatch.setenv("WAVENET_THREADS", value)
-        out = tmp_path / "run"
-        assert main(train_args(cache, out)) == EXIT_USAGE
-        assert cause in capsys.readouterr().err
-        assert not out.exists()
+def test_every_train_config_field_is_one_train_flag():
+    """Each setting has exactly one flag, so none is settable by a config file alone."""
+    dests = [a.dest for a in subparsers()["train"]._actions if a.option_strings]
+    assert {f.name: dests.count(f.name) for f in fields(TrainConfig)} == \
+        {f.name: 1 for f in fields(TrainConfig)}
 
 
 @pytest.mark.parametrize("case", list(PARTIAL_FRAMES))
@@ -1051,11 +1090,9 @@ def command_lines(draw, bases):
     """One of the parser's commands with its flags from ``bases``, then up
     to three of the command's flags each set to a drawn value or dropped,
     except a capped one, whose default may exceed its cap."""
-    sub = next(a for a in cli.build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    command = draw(st.sampled_from(sorted(sub.choices)))
+    command = draw(st.sampled_from(sorted(subparsers())))
     flags = dict(bases[command])
-    actions = [a for a in sub.choices[command]._actions
+    actions = [a for a in subparsers()[command]._actions
                if a.option_strings and a.dest != "help"]
     for action in draw(st.lists(st.sampled_from(actions), max_size=3, unique_by=id)):
         tokens = draw(flag_tokens(action) if action.dest in INT_CAPS

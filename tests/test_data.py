@@ -56,13 +56,37 @@ class TestParseManifest:
                            match=rf"^{re.escape(str(path))}:3: duplicate clip_path 'a.wav'$"):
             parse_manifest(path)
 
-    @pytest.mark.parametrize("twin", ["/d/sub//c.f32", "/d/sub/./c.f32"],
-                             ids=["double_slash", "dot"])
+    @pytest.mark.parametrize("twin", ["/d/sub//c.f32", "/d/sub/./c.f32", "//d/sub/c.f32",
+                                      "/d/sub/x/../c.f32"],
+                             ids=["double_slash", "dot", "leading_double_slash", "dot_dot"])
     def test_two_spellings_of_one_absolute_path_are_a_duplicate(self, tmp_path, twin):
         path = tmp_path / "m.csv"
         path.write_text(f"{HEADER}\n/d/sub/c.f32,ids,3,F01\n{twin},ads,3,F01\n")
         with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: "
                                                 rf"duplicate clip_path {re.escape(repr(twin))}$"):
+            parse_manifest(path)
+
+    def test_symbolic_link_to_a_listed_clip_is_a_duplicate(self, tmp_path):
+        (tmp_path / "c.f32").write_bytes(b"")
+        (tmp_path / "link.f32").symlink_to("c.f32")
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\nc.f32,ids,3,F01\nlink.f32,ads,3,F01\n")
+        with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}:3: "
+                                                r"duplicate clip_path 'link.f32'$"):
+            parse_manifest(path)
+
+    def test_row_keeps_its_spelling_and_a_link_loop_parses(self, tmp_path):
+        (tmp_path / "loop.wav").symlink_to("loop.wav")
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\nsub/../loop.wav,ids,3,F01\n")
+        assert [s.clip_path for s in parse_manifest(path)] == \
+            [str(tmp_path / "sub/../loop.wav")]
+
+    def test_nul_byte_in_clip_path_names_the_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{HEADER}\na.wav,ids,3,F01\nb\0.wav,ids,3,F01\n")
+        with pytest.raises(ManifestError,
+                           match=rf"^{re.escape(str(path))}:3: NUL byte in clip_path$"):
             parse_manifest(path)
 
     def test_normal_absolute_path_resolves_to_its_own_text(self, tmp_path):
