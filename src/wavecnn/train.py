@@ -33,6 +33,7 @@ them.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -73,7 +74,12 @@ def _runner(threads: int):
     """Set the heap policy and yield ``each(fn, samples)``, which maps ``fn``
     over ``threads`` workers in sample order.  Overflow warnings are off in
     each call and on the caller's thread, which sums and steps, for the whole
-    pass: errstate is per thread, and callers refuse non-finite results."""
+    pass: errstate is per thread, and callers refuse non-finite results.
+
+    ``each`` keeps at most ``2 * threads`` samples submitted and not yet
+    yielded, so a pass over any number of samples holds that many pending
+    calls and results, not one per sample.  When a call raises, the samples
+    queued behind it are cancelled."""
     _keep_heap_resident()
     def quiet(fn, sample):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -81,7 +87,20 @@ def _runner(threads: int):
 
     with (ThreadPoolExecutor(max_workers=threads) as pool,
           np.errstate(over="ignore", invalid="ignore")):
-        yield lambda fn, samples: pool.map(functools.partial(quiet, fn), samples)
+        def each(fn, samples):
+            ahead = collections.deque()
+            try:
+                for sample in samples:
+                    if len(ahead) == 2 * threads:
+                        yield ahead.popleft().result()
+                    ahead.append(pool.submit(quiet, fn, sample))
+                while ahead:
+                    yield ahead.popleft().result()
+            finally:
+                for future in ahead:
+                    future.cancel()
+
+        yield each
 
 
 class TrainingError(WavecnnError, RuntimeError):
@@ -158,21 +177,55 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def load_clips(samples: list[Sample]) -> dict[str, np.ndarray]:
-    """Preload standardized waveforms for every referenced clip path."""
-    return {s.clip_path: audio.load_clip(s.clip_path) for s in samples}
+class _ClipFiles(Mapping):
+    """The clip paths :func:`load_clips` checked; each access reads its clip again."""
+
+    def __init__(self, paths):
+        self._paths = dict.fromkeys(paths)
+
+    def __getitem__(self, path):
+        if path not in self._paths:
+            raise KeyError(path)
+        return audio.load_clip(path)
+
+    def __contains__(self, path):  # Mapping's default would read the clip
+        return path in self._paths
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+
+def load_clips(samples: list[Sample]) -> Mapping[str, np.ndarray]:
+    """A read-only mapping from each clip path of ``samples`` to its
+    standardized waveform, read by :func:`audio.load_clip` on every access.
+
+    Every clip is read once here, one at a time, and none is kept, so a clip
+    that fails raises its ``WavFormatError`` or ``OSError`` before this
+    returns, and memory does not grow with the corpus.  :func:`train` and
+    :func:`evaluate` then read each clip in the worker that runs its sample.
+    """
+    clips = _ClipFiles(s.clip_path for s in samples)
+    for path in clips:
+        audio.load_clip(path)
+    return clips
 
 
 def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
           clips: Mapping[str, np.ndarray], on_epoch=None):
-    """Train in place on the waveforms ``clips`` maps each clip path to, as
-    :func:`load_clips` reads them; returns (history, stop_reason).
+    """Train in place on the waveforms ``clips`` maps each clip path to, any
+    mapping or the one :func:`load_clips` returns; returns (history, stop_reason).
 
     history holds one dict per epoch: {"epoch", "loss", "train_acc"}, where
     loss is the epoch mean of batch losses including the L2 term.  The
     optional ``on_epoch(epoch, stats)`` callback can return True to stop.
     A non-finite loss, logit, gradient or updated parameter raises
-    TrainingError naming the epoch and batch, and the clip or parameter at fault.
+    TrainingError naming the epoch and batch, and the clip or parameter at
+    fault.  So does a clip that ``clips`` fails to read (its WavFormatError
+    or OSError, which names the file): one that :func:`load_clips` checked
+    may have changed on disk since.
     """
     if not split.train:
         raise TrainingError("empty training set")
@@ -219,7 +272,7 @@ def train(model: Model, split: Split, task: TaskSpec, config: TrainConfig,
                     if not np.isfinite(batch_loss):
                         raise NonFiniteError("non-finite loss")
                     optimizer.step(acc, names)
-                except NonFiniteError as err:
+                except (NonFiniteError, audio.WavFormatError, OSError) as err:
                     raise TrainingError(f"{err} at epoch {epoch} batch {batch_idx}") from err
                 epoch_loss += batch_loss
             epoch_loss /= len(epoch_batches)
@@ -244,7 +297,8 @@ def evaluate(model: Model, test: list[Sample], task: TaskSpec,
     """Accuracy, per-class accuracy, confusion matrix, and per-age breakdown.
 
     Never mutates the model.  Raises NonFiniteError naming the clip when
-    its logits are not finite.
+    its logits are not finite; a clip that ``clips`` fails to read raises
+    its own WavFormatError or OSError, which names the file.
     """
     if not test:
         raise ValueError("empty test set")

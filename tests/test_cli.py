@@ -346,6 +346,30 @@ class TestTrain:
         for name in ("weights.bin", "report.json", "report.csv"):
             assert not (run / name).exists(), name
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_clip_spoilt_after_loading_exits_2_keeping_the_epochs_it_finished(
+            self, cache, tmp_path, capsys, monkeypatch, threads):
+        shutil.copytree(cache, tmp_path / "cache")
+        run_train = cli.train
+        victims = []
+
+        def spoil_after_epoch_0(model, split, task, config, clips, on_epoch):
+            def log_then_spoil(epoch, stats):
+                on_epoch(epoch, stats)
+                victims.append(Path(split.train[0].clip_path))
+                victims[0].write_bytes(victims[0].read_bytes()[:100])
+            return run_train(model, split, task, config, clips, log_then_spoil)
+
+        monkeypatch.setattr(cli, "train", spoil_after_epoch_0)
+        run = tmp_path / "run"
+        assert main(train_args(tmp_path / "cache", run, ["--threads", threads])) == EXIT_USAGE
+        assert (f"error: {victims[0]}: cache file holds 100 bytes, expected 32000 "
+                f"at epoch 1 batch ") in capsys.readouterr().err
+        lines = (run / "run_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in lines] == [0]
+        for name in ("weights.bin", "report.json", "report.csv"):
+            assert not (run / name).exists(), name
+
     def test_default_run_dir_of_an_earlier_run_exits_2_and_keeps_it(self, cache, tmp_path,
                                                                     capsys, monkeypatch):
         # two runs without --out that start in the same second share a name

@@ -1,18 +1,23 @@
+import dataclasses
 import math
 import platform
 import sys
 import threading
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wavecnn.train
 from conftest import TRAIN_ONCE, run_python, tiny_model, tone_corpus
-from wavecnn.data import ExcludedSampleError, Split, get_task
+from wavecnn.audio import CLIP_SAMPLES, WavFormatError, load_clip
+from wavecnn.data import ExcludedSampleError, Sample, Split, get_task
 from wavecnn.layers import softmax_xent
 from wavecnn.model import WITHOUT_INCEPTION, build_model
-from wavecnn.train import TrainConfig, TrainingError, evaluate, lofo_sweep, train
+from wavecnn.train import (TrainConfig, TrainingError, evaluate, load_clips, lofo_sweep,
+                           train)
 
 IDS_VS_ADS = get_task("ids_vs_ads")
 
@@ -102,6 +107,15 @@ class TestTrainLoop:
         assert opened == [threads]
         evaluate(model, samples, IDS_VS_ADS, clips, threads=threads)
         assert opened == [threads, threads]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_runner_keeps_two_samples_per_worker_ahead_at_most(self, threads):
+        started = []
+        with wavecnn.train._runner(threads) as each:
+            for k, got in enumerate(each(lambda i: started.append(i) or i, range(200))):
+                assert got == k
+                assert len(started) <= k + 2 * threads
+        assert sorted(started) == list(range(200))
 
     def test_convergence_stop_after_patience(self, two_tone_corpus):
         samples, clips = two_tone_corpus
@@ -448,6 +462,65 @@ class TestLofoSweep:
             lofo_sweep(samples, IDS_VS_ADS, quick_config(), clips,
                        model_factory=lambda: tiny_model(2))
 
+
+def on_disk(samples, clips, root):
+    """``samples`` with each clip written to ``root`` as a ``.f32`` cache file."""
+    moved = []
+    for i, sample in enumerate(samples):
+        path = root / f"clip{i:03d}.f32"
+        clips[sample.clip_path].astype("<f4").tofile(path)
+        moved.append(dataclasses.replace(sample, clip_path=str(path)))
+    return moved
+
+
+# spoil a checked clip: cut it short (a WavFormatError) or remove it (an OSError)
+SPOILERS = {
+    "truncated": (lambda path: path.write_bytes(path.read_bytes()[:100]),
+                  "cache file holds 100 bytes"),
+    "deleted": (lambda path: path.unlink(), "No such file or directory"),
+}
+
+
+class TestLoadClips:
+    def test_keeps_no_clip_and_reads_each_on_access(self, tmp_path):
+        rng = np.random.default_rng(5)
+        samples = [Sample(str(tmp_path / f"c{i:02d}.f32"), "ids", 6, "F00")
+                   for i in range(64)]
+        for s in samples:  # 2 MB on disk
+            rng.standard_normal(CLIP_SAMPLES).astype("<f4").tofile(s.clip_path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clips = load_clips(samples)
+            kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        clip_bytes = 4 * CLIP_SAMPLES
+        assert kept < clip_bytes  # all 64 together hold less than one clip
+        assert peak < 4 * clip_bytes  # read one at a time (a read holds about 2.3)
+        assert len(clips) == 64 and list(clips) == [s.clip_path for s in samples]
+        for s in samples:
+            assert clips[s.clip_path].tobytes() == load_clip(s.clip_path).tobytes()
+        with pytest.raises(KeyError):
+            clips[str(tmp_path / "other.f32")]
+        assert str(tmp_path / "other.f32") not in clips
+
+    @pytest.mark.parametrize("spoil", SPOILERS)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_clip_spoilt_after_loading_fails_naming_it(self, two_tone_corpus, tmp_path,
+                                                       threads, spoil):
+        samples = on_disk(*two_tone_corpus, tmp_path)
+        clips = load_clips(samples)
+        victim = samples[3].clip_path
+        spoiler, cause = SPOILERS[spoil]
+        spoiler(Path(victim))
+        with pytest.raises(TrainingError, match=r" at epoch 0 batch \d+$") as trained:
+            train(tiny_model(2), split_all_train(samples), IDS_VS_ADS,
+                  quick_config(threads=threads), clips)
+        with pytest.raises((WavFormatError, OSError)) as evaluated:
+            evaluate(tiny_model(2), samples, IDS_VS_ADS, clips, threads=threads)
+        for caught in (trained, evaluated):
+            assert victim in str(caught.value) and cause in str(caught.value)
 
 
 @pytest.mark.parametrize("overrides", [
